@@ -1,6 +1,7 @@
 // Command socregress replays the frozen scenario corpus (package corpus)
 // and diffs every output layer — schedule bytes, width sweeps, data-volume
-// curves, effective widths, lower bounds, and socserved HTTP responses —
+// curves, effective widths, lower bounds, socserved HTTP responses, and the
+// rectpack-family and anneal packers' schedules —
 // against the golden files committed under testdata/golden/. It is the
 // repository's byte-stability gate: optimization PRs must leave every
 // golden byte unchanged, or consciously re-bless with -update.

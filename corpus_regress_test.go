@@ -3,8 +3,9 @@ package repro_test
 // The corpus golden-regression gate, as a plain `go test` so drift is
 // caught locally before CI runs cmd/socregress: every scenario in
 // internal/corpus is replayed across every output layer (schedule bytes,
-// width sweeps, data-volume curves, effective widths, lower bounds, and
-// socserved HTTP responses) and compared byte-for-byte against the golden
+// width sweeps, data-volume curves, effective widths, lower bounds,
+// socserved HTTP responses, and the packers' schedules) and compared
+// byte-for-byte against the golden
 // files committed under testdata/golden/.
 //
 // When a change legitimately moves an output — a new heuristic, a format

@@ -6,7 +6,8 @@
 // 4-core toys to 60-core monsters — together with a replay engine that
 // captures canonical output bytes at every layer of the stack (schedule
 // JSON, width sweeps, data-volume curves, effective widths, lower bounds,
-// and socserved HTTP responses).
+// socserved HTTP responses, and the rectpack-family and anneal packers'
+// schedules).
 //
 // The replayed bytes are committed as golden files under testdata/golden/
 // and gated by cmd/socregress and the corpus_regress_test.go wrapper:

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,6 +29,8 @@ const (
 	LayerLowerBounds      = "lowerbounds.txt"        // LB(W) decomposition across LBWidths
 	LayerServiceSchedule  = "service_schedule.json"  // socserved /v1/schedule[/best] response
 	LayerServiceEffective = "service_effective.json" // socserved /v1/effective response
+	LayerRectpack         = "rectpack_schedule.json" // schedio bytes of rectpack, or preempt-rectpack under budgets
+	LayerAnneal           = "anneal_schedule.json"   // schedio bytes of the anneal backend
 )
 
 // Layers lists every golden layer in replay order.
@@ -40,6 +43,8 @@ func Layers() []string {
 		LayerLowerBounds,
 		LayerServiceSchedule,
 		LayerServiceEffective,
+		LayerRectpack,
+		LayerAnneal,
 	}
 }
 
@@ -148,6 +153,30 @@ func Replay(sc Scenario) (map[string][]byte, error) {
 	// Layers 6-7: the socserved HTTP surface, replayed through httptest.
 	if err := replayService(sc, s, params, out); err != nil {
 		return nil, err
+	}
+
+	// Layers 8-9: the packing backends' schedules. Exactly one of rectpack
+	// and preempt-rectpack accepts any parameter set, so one file covers
+	// both.
+	packer := "rectpack"
+	if b, err := sched.BackendByName(packer); err != nil {
+		return nil, fmt.Errorf("corpus: %s: %w", sc.Name, err)
+	} else if _, declined := sched.BackendDeclines(b, params); declined {
+		packer = "preempt-rectpack"
+	}
+	for _, lb := range []struct{ layer, backend string }{{LayerRectpack, packer}, {LayerAnneal, "anneal"}} {
+		layer, backend := lb.layer, lb.backend
+		p := params
+		p.Backend = backend
+		sch, err := opt.ScheduleBackend(context.Background(), p)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: %s: backend %s: %w", sc.Name, backend, err)
+		}
+		buf.Reset()
+		if err := schedio.Save(&buf, sch); err != nil {
+			return nil, fmt.Errorf("corpus: %s: save %s schedule: %w", sc.Name, backend, err)
+		}
+		out[layer] = append([]byte(nil), buf.Bytes()...)
 	}
 	return out, nil
 }
