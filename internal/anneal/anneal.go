@@ -20,13 +20,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/constraint"
 	"repro/internal/obs"
-	"repro/internal/pareto"
-	"repro/internal/rect"
+	"repro/internal/pack"
 	"repro/internal/sched"
 )
 
@@ -48,297 +45,23 @@ func New() *Backend { return &Backend{} }
 // Name returns "anneal".
 func (*Backend) Name() string { return Name }
 
-// core is the immutable per-core search input.
-type core struct {
-	id     int
-	set    *pareto.Set // capped at min(MaxWidth, TAMWidth)
-	budget int         // preemption budget (0 = the split gene is inert)
-	dur    int64       // MinTime, cached for ordering
-	area   int64       // MinArea, cached for ordering
-}
-
-// genome is one candidate solution. Slices are indexed by core position in
-// the id-ascending core slice, except perm, which lists those positions in
-// fill-priority order.
-type genome struct {
-	perm  []int
-	cap   []int   // width cap; the decoder starts at SnapDown(min(cap, free))
-	floor []int   // quality floor; 0 = any width
-	split []int64 // forced first-segment cycles; 0 = run to completion
-}
-
-func (g *genome) clone() *genome {
-	c := &genome{
-		perm:  append([]int(nil), g.perm...),
-		cap:   append([]int(nil), g.cap...),
-		floor: append([]int(nil), g.floor...),
-		split: append([]int64(nil), g.split...),
-	}
-	return c
-}
-
-// simState is a core's phase within one decode.
-type simState uint8
-
-const (
-	simUnstarted simState = iota
-	simRunning
-	simSuspended
-	simDone
-)
-
-// span is one closed segment of a (possibly split) rectangle.
-type span struct {
-	start, end int64
-}
-
-// simCore is the per-core state of one decode.
-type simCore struct {
-	state     simState
-	width     int
-	remaining int64
-	segStart  int64
-	yieldAt   int64 // forced split instant; -1 = none
-	yieldedAt int64 // instant of the last suspension (no same-instant resume)
-	segs      []span
-	preempts  int
-	penalty   int64
-}
-
-// closeSeg ends the open segment at end, merging seamless continuations.
-func (s *simCore) closeSeg(end int64) {
-	s.remaining -= end - s.segStart
-	if n := len(s.segs); n > 0 && s.segs[n-1].end == s.segStart {
-		s.segs[n-1].end = end
-	} else {
-		s.segs = append(s.segs, span{s.segStart, end})
-	}
-}
-
-// decoded is one genome's simulation outcome before wire assignment.
-type decoded struct {
-	sim      []simCore // parallel to the id-ascending core slice
-	makespan int64
-	events   int
-	splits   int
-}
-
-// decode runs the genome through the event-driven packer and returns the
-// resulting placement, or an error when the genome is infeasible (a floor
-// no reachable width satisfies, or a constraint deadlock). The decoder is
-// the same machine rectpack races: at every event each core is offered, in
-// genome priority order, the largest Pareto width that fits the free
-// wires under its cap, subject to its floor and the constraint checker. A
-// core whose split gene fires suspends itself mid-run, freeing its wires;
-// it resumes at a later event at the same width (the vertical-split rule),
-// paying the wrapper's preemption penalty for the gap.
-func decode(cores []*core, g *genome, chk *constraint.Checker, tamWidth int, penFor func(id, width int) int64) (*decoded, error) {
-	n := len(cores)
-	sim := make([]simCore, n)
-	running := make(map[int]bool, n)
-	complete := make(map[int]bool, n)
-	var now int64
-	avail := tamWidth
-	left := n
-	events := 0
-	splits := 0
-	for left > 0 {
-		events++
-		for _, ci := range g.perm {
-			c := cores[ci]
-			s := &sim[ci]
-			switch s.state {
-			case simSuspended:
-				if avail >= s.width && now > s.yieldedAt && chk.OK(c.id, complete, running) {
-					pen := penFor(c.id, s.width)
-					s.preempts++
-					s.penalty += pen
-					s.remaining += pen
-					s.state = simRunning
-					s.segStart = now
-					running[c.id] = true
-					avail -= s.width
-				}
-			case simUnstarted:
-				if avail < 1 {
-					continue
-				}
-				limit := g.cap[ci]
-				if limit > avail {
-					limit = avail
-				}
-				w, ok := c.set.SnapDown(limit)
-				if !ok || (g.floor[ci] > 0 && w < g.floor[ci]) {
-					continue
-				}
-				if !chk.OK(c.id, complete, running) {
-					continue
-				}
-				s.state = simRunning
-				s.width = w
-				s.remaining = c.set.Time(w)
-				s.segStart = now
-				s.yieldAt = -1
-				if g.split[ci] > 0 && c.budget > 0 && g.split[ci] < s.remaining {
-					s.yieldAt = now + g.split[ci]
-					splits++
-				}
-				running[c.id] = true
-				avail -= w
-			}
-		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("anneal: no core can run at t=%d with %d cores left", now, left)
-		}
-		// Advance to the earliest segment end or forced split among the
-		// running cores, then retire or suspend everything landing there.
-		var next int64 = -1
-		for i := range sim {
-			s := &sim[i]
-			if s.state != simRunning {
-				continue
-			}
-			end := s.segStart + s.remaining
-			if s.yieldAt >= 0 && s.yieldAt < end {
-				end = s.yieldAt
-			}
-			if next == -1 || end < next {
-				next = end
-			}
-		}
-		for i := range sim {
-			s := &sim[i]
-			if s.state != simRunning {
-				continue
-			}
-			end := s.segStart + s.remaining
-			if s.yieldAt >= 0 && s.yieldAt < end && s.yieldAt == next {
-				s.closeSeg(next)
-				s.state = simSuspended
-				s.yieldedAt = next
-				s.yieldAt = -1
-				delete(running, cores[i].id)
-				avail += s.width
-			} else if end == next {
-				s.closeSeg(next)
-				s.state = simDone
-				delete(running, cores[i].id)
-				complete[cores[i].id] = true
-				avail += s.width
-				left--
-			}
-		}
-		now = next
-	}
-	return &decoded{sim: sim, makespan: now, events: events, splits: splits}, nil
-}
-
-// seedGenomes mirrors rectpack's deterministic strategy portfolio as
-// genomes — four decreasing orders crossed with the cap ladder, the
-// quality-floor passes, plus two ascending orders for budget-bearing
+// seedGenomes is rectpack's deterministic portfolio with caps relative to
+// the per-core width cap, plus two ascending orders for budget-bearing
 // parameter sets (budgets land on the larger cores, so small-cores-first
 // priority makes the budgeted giants the natural split candidates). With
-// these seeds evaluated before any annealing move, the backend's best-ever
-// solution starts no worse than rectpack's portfolio winner.
-func seedGenomes(cores []*core, wmax int) []*genome {
-	n := len(cores)
-	base := make([]int, n)
-	for i := range base {
-		base[i] = i
+// these seeds evaluated before any annealing move, the backend's
+// best-ever solution starts no worse than rectpack's portfolio winner.
+// Each seed is a private clone, free for in-place moves.
+func seedGenomes(p *pack.Packer) []*pack.Genome {
+	seeds := p.Portfolio(p.WMax)
+	full, zero := p.Uniform(p.WMax), make([]int, len(p.Cores))
+	for _, less := range []func(a, b *pack.Core) bool{pack.Ascending(pack.ByTime), pack.Ascending(pack.ByArea)} {
+		seeds = append(seeds, &pack.Genome{Perm: p.Order(less), Cap: full, Floor: zero})
 	}
-	permBy := func(less func(a, b *core) bool) []int {
-		p := append([]int(nil), base...)
-		sort.SliceStable(p, func(i, j int) bool { return less(cores[p[i]], cores[p[j]]) })
-		return p
+	for i, g := range seeds {
+		seeds[i] = g.Clone()
 	}
-	byTime := permBy(func(a, b *core) bool { return a.dur > b.dur })
-	byArea := permBy(func(a, b *core) bool { return a.area > b.area })
-	bySerial := permBy(func(a, b *core) bool { return a.set.Time(1) > b.set.Time(1) })
-	byWidth := permBy(func(a, b *core) bool {
-		if a.set.MaxParetoWidth() != b.set.MaxParetoWidth() {
-			return a.set.MaxParetoWidth() > b.set.MaxParetoWidth()
-		}
-		return a.dur > b.dur
-	})
-	ascTime := permBy(func(a, b *core) bool { return a.dur < b.dur })
-	ascArea := permBy(func(a, b *core) bool { return a.area < b.area })
-
-	uniform := func(w int) []int {
-		caps := make([]int, n)
-		for i := range caps {
-			caps[i] = w
-		}
-		return caps
-	}
-	minArea := make([]int, n)
-	for i, c := range cores {
-		minArea[i] = minAreaWidth(c.set)
-	}
-	frac := func(den int) []int {
-		w := wmax / den
-		if w < 1 {
-			w = 1
-		}
-		return uniform(w)
-	}
-	quality := func(stretchPct int64) []int {
-		floors := make([]int, n)
-		for i, c := range cores {
-			floors[i] = qualityWidth(c.set, stretchPct)
-		}
-		return floors
-	}
-
-	zero := make([]int, n)
-	zero64 := make([]int64, n)
-	mk := func(perm, caps, floors []int) *genome {
-		return &genome{
-			perm:  append([]int(nil), perm...),
-			cap:   append([]int(nil), caps...),
-			floor: append([]int(nil), floors...),
-			split: append([]int64(nil), zero64...),
-		}
-	}
-
-	var out []*genome
-	for _, perm := range [][]int{byTime, byArea, bySerial, byWidth} {
-		for _, caps := range [][]int{uniform(wmax), frac(2), frac(3), frac(4), minArea} {
-			out = append(out, mk(perm, caps, zero))
-		}
-	}
-	for _, perm := range [][]int{byTime, byArea} {
-		for _, stretch := range []int64{25, 50, 100} {
-			out = append(out, mk(perm, uniform(wmax), quality(stretch)))
-		}
-	}
-	for _, perm := range [][]int{ascTime, ascArea} {
-		out = append(out, mk(perm, uniform(wmax), zero))
-	}
-	return out
-}
-
-// qualityWidth returns the smallest width whose time is within stretchPct%
-// of the core's best time (rectpack's quality floor).
-func qualityWidth(set *pareto.Set, stretchPct int64) int {
-	limit := set.MinTime() + set.MinTime()*stretchPct/100
-	for _, p := range set.Points {
-		if p.Time <= limit {
-			return p.Width
-		}
-	}
-	return set.MaxParetoWidth()
-}
-
-// minAreaWidth returns the Pareto width minimizing w·T(w).
-func minAreaWidth(set *pareto.Set) int {
-	best := set.Points[0].Width
-	bestArea := int64(set.Points[0].Width) * set.Points[0].Time
-	for _, p := range set.Points[1:] {
-		if a := int64(p.Width) * p.Time; a < bestArea {
-			best, bestArea = p.Width, a
-		}
-	}
-	return best
+	return seeds
 }
 
 // neighbor mutates g in place with one random move and returns an undo
@@ -346,8 +69,8 @@ func minAreaWidth(set *pareto.Set) int {
 // priority order, re-aim a core at a different Pareto point, move its
 // quality floor, or (for budget-bearing cores) set, move, or clear its
 // forced split point.
-func neighbor(g *genome, cores []*core, wmax int, anyBudget bool, rng *rand.Rand) func() {
-	n := len(g.perm)
+func neighbor(g *pack.Genome, cores []pack.Core, wmax int, anyBudget bool, rng *rand.Rand) func() {
+	n := len(g.Perm)
 	kind := rng.Intn(100)
 	if !anyBudget && kind >= 90 {
 		kind = 60 // fold split moves into cap moves
@@ -355,62 +78,62 @@ func neighbor(g *genome, cores []*core, wmax int, anyBudget bool, rng *rand.Rand
 	switch {
 	case kind < 30: // swap two priority positions
 		i, j := rng.Intn(n), rng.Intn(n)
-		g.perm[i], g.perm[j] = g.perm[j], g.perm[i]
-		return func() { g.perm[i], g.perm[j] = g.perm[j], g.perm[i] }
+		g.Perm[i], g.Perm[j] = g.Perm[j], g.Perm[i]
+		return func() { g.Perm[i], g.Perm[j] = g.Perm[j], g.Perm[i] }
 	case kind < 50: // relocate one core in the priority order
 		from, to := rng.Intn(n), rng.Intn(n)
-		v := g.perm[from]
-		g.perm = append(g.perm[:from], g.perm[from+1:]...)
-		g.perm = append(g.perm[:to], append([]int{v}, g.perm[to:]...)...)
+		v := g.Perm[from]
+		g.Perm = append(g.Perm[:from], g.Perm[from+1:]...)
+		g.Perm = append(g.Perm[:to], append([]int{v}, g.Perm[to:]...)...)
 		return func() {
-			g.perm = append(g.perm[:to], g.perm[to+1:]...)
-			g.perm = append(g.perm[:from], append([]int{v}, g.perm[from:]...)...)
+			g.Perm = append(g.Perm[:to], g.Perm[to+1:]...)
+			g.Perm = append(g.Perm[:from], append([]int{v}, g.Perm[from:]...)...)
 		}
 	case kind < 75: // re-aim a core at a different Pareto point
 		ci := rng.Intn(n)
-		old := g.cap[ci]
-		pts := cores[ci].set.Points
+		old := g.Cap[ci]
+		pts := cores[ci].Set.Points
 		if rng.Intn(8) == 0 {
-			g.cap[ci] = wmax
+			g.Cap[ci] = wmax
 		} else {
-			g.cap[ci] = pts[rng.Intn(len(pts))].Width
+			g.Cap[ci] = pts[rng.Intn(len(pts))].Width
 		}
-		oldFloor := g.floor[ci]
-		if w, ok := cores[ci].set.SnapDown(g.cap[ci]); ok && g.floor[ci] > w {
-			g.floor[ci] = 0 // keep the genome feasible: floor above cap never starts
+		oldFloor := g.Floor[ci]
+		if w, ok := cores[ci].Set.SnapDown(g.Cap[ci]); ok && g.Floor[ci] > w {
+			g.Floor[ci] = 0 // keep the genome feasible: floor above cap never starts
 		}
-		return func() { g.cap[ci], g.floor[ci] = old, oldFloor }
+		return func() { g.Cap[ci], g.Floor[ci] = old, oldFloor }
 	case kind < 90: // move a core's quality floor
 		ci := rng.Intn(n)
-		old := g.floor[ci]
+		old := g.Floor[ci]
 		if rng.Intn(2) == 0 {
-			g.floor[ci] = 0
-		} else if w, ok := cores[ci].set.SnapDown(g.cap[ci]); ok {
-			pts := cores[ci].set.Points
+			g.Floor[ci] = 0
+		} else if w, ok := cores[ci].Set.SnapDown(g.Cap[ci]); ok {
+			pts := cores[ci].Set.Points
 			f := pts[rng.Intn(len(pts))].Width
 			if f > w {
 				f = w
 			}
-			g.floor[ci] = f
+			g.Floor[ci] = f
 		}
-		return func() { g.floor[ci] = old }
+		return func() { g.Floor[ci] = old }
 	default: // set, move, or clear a forced split point
 		budgeted := make([]int, 0, n)
 		for i, c := range cores {
-			if c.budget > 0 {
+			if c.Budget > 0 {
 				budgeted = append(budgeted, i)
 			}
 		}
 		ci := budgeted[rng.Intn(len(budgeted))]
-		old := g.split[ci]
+		old := g.Split[ci]
 		if old != 0 && rng.Intn(3) == 0 {
-			g.split[ci] = 0
+			g.Split[ci] = 0
 		} else {
-			w, ok := cores[ci].set.SnapDown(g.cap[ci])
+			w, ok := cores[ci].Set.SnapDown(g.Cap[ci])
 			if !ok {
-				w = cores[ci].set.MaxParetoWidth()
+				w = cores[ci].Set.MaxParetoWidth()
 			}
-			dur := cores[ci].set.Time(w)
+			dur := cores[ci].Set.Time(w)
 			if dur > 1 {
 				// Split somewhere in the middle three quarters of the run.
 				lo := dur / 8
@@ -421,10 +144,10 @@ func neighbor(g *genome, cores []*core, wmax int, anyBudget bool, rng *rand.Rand
 				if hi <= lo {
 					hi = lo + 1
 				}
-				g.split[ci] = lo + rng.Int63n(hi-lo)
+				g.Split[ci] = lo + rng.Int63n(hi-lo)
 			}
 		}
-		return func() { g.split[ci] = old }
+		return func() { g.Split[ci] = old }
 	}
 }
 
@@ -458,26 +181,13 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
 		return nil, err
 	}
-	params = params.Defaults()
-	cores, chk, err := buildCores(ctx, opt, params)
+	p, err := pack.New(ctx, Name, opt, params)
 	if err != nil {
 		return nil, err
 	}
-	penFor := func(id, width int) int64 {
-		d := opt.Design(id, width)
-		if d == nil {
-			// Width in 1..maxWidth and core validated: cannot happen.
-			panic(fmt.Sprintf("anneal: no cached design for core %d width %d", id, width))
-		}
-		return d.PreemptionPenalty()
-	}
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
 	anyBudget := false
-	for _, c := range cores {
-		if c.budget > 0 {
+	for _, c := range p.Cores {
+		if c.Budget > 0 {
 			anyBudget = true
 			break
 		}
@@ -491,22 +201,22 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 
 	// Evaluate the deterministic seeds; the best becomes the annealing
 	// start and the best-ever floor.
-	var cur *genome
+	var cur *pack.Genome
 	var curCost int64
 	var firstErr error
-	for _, g := range seedGenomes(cores, wmax) {
+	for _, g := range seedGenomes(p) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
+		res, err := p.Decode(g)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if cur == nil || res.makespan < curCost {
-			cur, curCost = g, res.makespan
+		if cur == nil || res.Makespan < curCost {
+			cur, curCost = g, res.Makespan
 		}
 	}
 	if cur == nil {
@@ -518,9 +228,9 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 	// known solution when progress stalls. Every improvement is kept in
 	// best-first order so wire assignment can fall back if the very best
 	// layout turns out unplaceable.
-	bests := []*genome{cur.clone()}
+	bests := []*pack.Genome{cur.Clone()}
 	bestCost := curCost
-	iters := iterBudget(len(cores))
+	iters := iterBudget(len(p.Cores))
 	t0 := float64(bestCost) / 100
 	if t0 < 1 {
 		t0 = 1
@@ -533,18 +243,18 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		undo := neighbor(cur, cores, wmax, anyBudget, rng)
-		res, err := decode(cores, cur, chk, params.TAMWidth, penFor)
+		undo := neighbor(cur, p.Cores, p.WMax, anyBudget, rng)
+		res, err := p.Decode(cur)
 		cost := int64(math.MaxInt64)
 		if err == nil {
-			cost = res.makespan
+			cost = res.Makespan
 		}
 		delta := float64(cost - curCost)
 		if delta <= 0 || (err == nil && rng.Float64() < math.Exp(-delta/temp)) {
 			curCost = cost
 			if cost < bestCost {
 				bestCost = cost
-				bests = append([]*genome{cur.clone()}, bests...)
+				bests = append([]*pack.Genome{cur.Clone()}, bests...)
 				improved++
 				stall = 0
 			} else {
@@ -555,7 +265,7 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 			stall++
 		}
 		if stall > iters/5 {
-			cur, curCost = bests[0].clone(), bestCost
+			cur, curCost = bests[0].Clone(), bestCost
 			stall = 0
 		}
 		temp *= cooling
@@ -565,135 +275,13 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 
 	// Emit best-first: wire assignment may reject a busy split layout, in
 	// which case the next-best recorded solution gets its chance.
-	for _, g := range bests {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := decode(cores, g, chk, params.TAMWidth, penFor)
-		if err != nil {
-			continue
-		}
-		sch, err := emit(opt, params, cores, res)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		span.SetAttr("makespan", sch.Makespan)
-		span.SetAttr("splits", res.splits)
-		return sch, nil
-	}
-	return nil, fmt.Errorf("anneal: no solution placeable: %w", firstErr)
-}
-
-// buildCores validates the parameters and assembles the per-core search
-// inputs plus the constraint checker, mirroring rectpack's setup so both
-// backends compete on identical ground.
-func buildCores(ctx context.Context, opt *sched.Optimizer, params sched.Params) ([]*core, *constraint.Checker, error) {
-	if params.TAMWidth < 1 {
-		return nil, nil, fmt.Errorf("anneal: non-positive TAM width %d", params.TAMWidth)
-	}
-	if params.MaxWidth > opt.MaxWidth() {
-		return nil, nil, fmt.Errorf("anneal: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, opt.MaxWidth())
-	}
-	s := opt.SOC()
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        params.PowerMax,
-		IgnoreHierarchy: params.IgnoreHierarchy,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-	cores := make([]*core, 0, len(s.Cores))
-	for _, c := range s.Cores {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		set, err := opt.ParetoSet(c.ID).Capped(wmax)
-		if err != nil {
-			return nil, nil, err
-		}
-		cores = append(cores, &core{
-			id:     c.ID,
-			set:    set,
-			budget: params.MaxPreemptions[c.ID],
-			dur:    set.MinTime(),
-			area:   set.MinArea(),
-		})
-	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].id < cores[j].id })
-	return cores, chk, nil
-}
-
-// emit maps a decoded solution onto concrete TAM wires. Fragments are
-// placed in global start order; a resumed segment prefers its previous
-// wires, exactly like the classic scheduler's preempted resumes.
-func emit(opt *sched.Optimizer, params sched.Params, cores []*core, res *decoded) (*sched.Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
+	sch, res, err := p.Best(ctx, bests, "no solution placeable")
 	if err != nil {
 		return nil, err
 	}
-	type frag struct {
-		ci  int
-		seg span
-	}
-	var frags []frag
-	for i := range res.sim {
-		for _, sg := range res.sim[i].segs {
-			frags = append(frags, frag{i, sg})
-		}
-	}
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].seg.start != frags[j].seg.start {
-			return frags[i].seg.start < frags[j].seg.start
-		}
-		return cores[frags[i].ci].id < cores[frags[j].ci].id
-	})
-	out := &sched.Schedule{
-		SOC:         opt.SOC().Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*sched.Assignment, len(cores)),
-		Makespan:    res.makespan,
-		Bin:         bin,
-		Events:      res.events,
-	}
-	for _, f := range frags {
-		c := cores[f.ci]
-		s := &res.sim[f.ci]
-		var prefer []int
-		a := out.Assignments[c.id]
-		if a != nil {
-			prefer = a.Pieces[len(a.Pieces)-1].Wires
-		}
-		p, err := bin.PlacePreferred(c.id, s.width, f.seg.start, f.seg.end, prefer)
-		if err != nil {
-			return nil, fmt.Errorf("anneal: wire assignment: %v", err)
-		}
-		if a == nil {
-			d := opt.Design(c.id, s.width)
-			if d == nil {
-				return nil, fmt.Errorf("anneal: no cached design for core %d width %d", c.id, s.width)
-			}
-			a = &sched.Assignment{
-				CoreID:        c.id,
-				Width:         s.width,
-				Preemptions:   s.preempts,
-				PenaltyCycles: s.penalty,
-				BaseTime:      c.set.Time(s.width),
-				ScanIn:        d.ScanInMax,
-				ScanOut:       d.ScanOutMax,
-			}
-			out.Assignments[c.id] = a
-		}
-		a.Pieces = append(a.Pieces, *p)
-	}
-	return out, nil
+	span.SetAttr("makespan", sch.Makespan)
+	span.SetAttr("splits", res.Splits)
+	return sch, nil
 }
 
 func init() {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/pack"
 	"repro/internal/rectpack"
 	"repro/internal/sched"
 	"repro/internal/schedio"
@@ -173,17 +174,16 @@ func TestNeighborUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := sched.Params{TAMWidth: 24, MaxPreemptions: mp}.Defaults()
-	cores, _, err := buildCores(context.Background(), opt, params)
+	p, err := pack.New(context.Background(), Name, opt, sched.Params{TAMWidth: 24, MaxPreemptions: mp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, anyBudget := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(1))
-		for _, g := range seedGenomes(cores, params.TAMWidth) {
-			before := g.clone()
+		for _, g := range seedGenomes(p) {
+			before := g.Clone()
 			for i := 0; i < 50; i++ {
-				undo := neighbor(g, cores, params.TAMWidth, anyBudget, rng)
+				undo := neighbor(g, p.Cores, p.WMax, anyBudget, rng)
 				undo()
 				if !reflect.DeepEqual(g, before) {
 					t.Fatalf("anyBudget=%t move %d: undo did not restore the genome", anyBudget, i)

@@ -9,8 +9,8 @@ import (
 )
 
 // DetSeed keeps the deterministic packages (the synthetic benchmark
-// generator, the scenario corpus, and the rectangle packer) reproducible
-// run to run:
+// generator, the scenario corpus, the packing engine, and the rectpack and
+// anneal backends) reproducible run to run:
 //
 //   - no time.Now — wall-clock reads leak into sizes, seeds, or ordering;
 //   - no package-level math/rand state — rand.Intn and friends draw from
@@ -23,8 +23,9 @@ import (
 var DetSeed = &analysis.Analyzer{
 	Name: "detseed",
 	Doc: "forbid nondeterminism sources in deterministic packages\n\n" +
-		"In bench, corpus and rectpack: no time.Now, no global math/rand draws (seeded\n" +
-		"rand.New sources are fine), and no sort.Slice comparator that reads a map.",
+		"In anneal, bench, corpus, pack and rectpack: no time.Now, no global math/rand\n" +
+		"draws (seeded rand.New sources are fine), and no sort.Slice comparator that\n" +
+		"reads a map.",
 	Run: runDetSeed,
 }
 

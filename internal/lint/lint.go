@@ -69,12 +69,14 @@ var ctxPackages = map[string]bool{
 }
 
 // deterministicPackages must behave identically run to run: the synthetic
-// corpus generator, the corpus scenarios, the rectangle packer, and the
-// annealing search (seeded generators only, per the detseed check).
+// corpus generator, the corpus scenarios, the shared packing engine, the
+// rectangle-packing backends, and the annealing search (seeded generators
+// only, per the detseed check).
 var deterministicPackages = map[string]bool{
 	"anneal":   true,
 	"bench":    true,
 	"corpus":   true,
+	"pack":     true,
 	"rectpack": true,
 }
 

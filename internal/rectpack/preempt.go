@@ -1,28 +1,25 @@
 // Preemptive rectangle packing: the "preempt-rectpack" backend extends
-// the event-driven best-fit-decreasing packer with horizontal rectangle
-// splitting, in the spirit of the split placements of the rectangle
-// bin-packing line (arXiv:1008.4448, 1008.4446). A core's (width, time)
-// rectangle may be cut into up to maxPreemptions+1 segments placed
-// independently at the same width (the vertical-split rule), each
-// resume-after-gap paying the wrapper's preemption penalty. The split
-// trigger is priority preemption: when a high-priority core is blocked —
-// its quality floor or Pareto widths demand more wires than are free —
-// weaker running cores with budget left are suspended to free wires, and
-// resume later in the big core's shadow. Every base non-preemptive
-// strategy races too, so the preemptive backend never packs worse than
-// plain rectpack on the same parameters.
+// the best-fit-decreasing portfolio with horizontal rectangle splitting,
+// in the spirit of the split placements of the rectangle bin-packing
+// line (arXiv:1008.4448, 1008.4446). A core's (width, time) rectangle may
+// be cut into up to maxPreemptions+1 segments placed independently at the
+// same width (the vertical-split rule), each resume-after-gap paying the
+// wrapper's preemption penalty. The split trigger is priority preemption
+// (pack.Genome.Preempt): when a high-priority core is blocked — its
+// quality floor or Pareto widths demand more wires than are free — weaker
+// running cores with budget left are suspended to free wires, and resume
+// later in the big core's shadow. Every non-preemptive rectpack genome
+// races too, so the preemptive backend never packs worse than plain
+// rectpack on the same parameters.
 package rectpack
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/constraint"
 	"repro/internal/obs"
+	"repro/internal/pack"
 	"repro/internal/pareto"
-	"repro/internal/rect"
 	"repro/internal/sched"
 )
 
@@ -55,346 +52,35 @@ func (*PreemptBackend) Declines(params sched.Params) (reason string, declined bo
 	return "", false
 }
 
-// pcState is a core's phase within one preemptive pass.
-type pcState uint8
-
-const (
-	pcUnstarted pcState = iota
-	pcRunning
-	pcPreempted
-	pcDone
-)
-
-// span is one closed segment of a split rectangle.
-type span struct {
-	start, end int64
-}
-
-// preemptCore is the per-core state of one preemptive pass.
-type preemptCore struct {
-	id     int
-	set    *pareto.Set
-	budget int // max resumes-after-gap
-
-	state     pcState
-	width     int   // fixed at first start (vertical-split rule)
-	remaining int64 // cycles left in the current run
-	segStart  int64 // begin of the open segment (state == pcRunning)
-	segs      []span
-	preempts  int
-	penalty   int64
-}
-
-// closeSeg ends the open segment at end, merging seamless continuations
-// so preemption gaps are the only split points.
-func (c *preemptCore) closeSeg(end int64) {
-	c.remaining -= end - c.segStart
-	if n := len(c.segs); n > 0 && c.segs[n-1].end == c.segStart {
-		c.segs[n-1].end = end
-	} else {
-		c.segs = append(c.segs, span{c.segStart, end})
+// preemptGenomes returns the 20 splitting genomes: floor-bearing ones,
+// since only a quality floor (or an all-or-nothing width demand) can
+// block a core and so trigger a preemption — cap-only genomes always
+// snap down to some width and never split. Ascending orders race
+// alongside the usual decreasing ones because the preemption-budget
+// policy puts budgets on the larger cores: with small cores in front, the
+// budgeted giants are the low-priority victims, and a floor-blocked small
+// core can split a giant's rectangle and run in the gap — the same
+// squeeze the classic scheduler's preempt-larger policy exploits.
+func preemptGenomes(p *pack.Packer) []*pack.Genome {
+	full := p.Uniform(p.TAMWidth)
+	floors := [][]int{
+		p.PerCore(pack.QualityWidth(25)), p.PerCore(pack.QualityWidth(50)), p.PerCore(pack.QualityWidth(100)),
+		p.PerCore(pack.MinAreaWidth), p.PerCore(func(s *pareto.Set) int { return s.MaxParetoWidth() }),
 	}
-}
-
-// presult is one preemptive pass's outcome before wire assignment.
-type presult struct {
-	cores    []*preemptCore // id-ascending
-	makespan int64
-	events   int
-	splits   int
-}
-
-// preemptPack runs one event-driven pass with priority preemption. The
-// fill logic mirrors pack: at every event each core is offered, in
-// strategy order, the largest Pareto width that fits the free wires under
-// the strategy's cap and quality floor. The difference is the blocked
-// case: a core whose floor (or width demand) exceeds the free wires may
-// suspend strictly weaker running cores that still have preemption budget
-// — freeing their wires — and start at its full target width. Suspended
-// cores resume at their fixed width once wires free up, paying the
-// wrapper's preemption penalty per resume-after-gap. penFor returns that
-// penalty for a core at a width.
-func preemptPack(template []*packCore, st strategy, chk *constraint.Checker, tamWidth int, budgets map[int]int, penFor func(id, width int) int64) (*presult, error) {
-	cores := make([]*preemptCore, len(template))
-	for i, t := range template {
-		cores[i] = &preemptCore{id: t.id, set: t.set, budget: budgets[t.id]}
-	}
-	// template is id-ascending, so a stable sort on the strategy key breaks
-	// ties toward the lower core ID — every pass is deterministic.
-	idx := make([]int, len(template))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return st.order(template[idx[a]], template[idx[b]]) })
-
-	running := make(map[int]bool)
-	complete := make(map[int]bool)
-	var now int64
-	avail := tamWidth
-	left := len(cores)
-	events := 0
-	splits := 0
-	for left > 0 {
-		events++
-		// Fill pass in priority order: resume suspended cores, start
-		// unstarted ones, and preempt weaker runners for blocked cores.
-		for pos, ti := range idx {
-			c := cores[ti]
-			tc := template[ti]
-			switch c.state {
-			case pcPreempted:
-				if avail >= c.width && chk.OK(c.id, complete, running) {
-					c.resumeAt(now, penFor)
-					running[c.id] = true
-					avail -= c.width
-					continue
-				}
-				if w, ok := preemptFor(cores, idx, pos, c.width, avail, now, chk, complete, running); ok {
-					avail = w
-					c.resumeAt(now, penFor)
-					running[c.id] = true
-					avail -= c.width
-				}
-			case pcUnstarted:
-				floor := st.minFor(tc)
-				if avail >= 1 {
-					limit := st.capFor(tc, tamWidth)
-					if limit > avail {
-						limit = avail
-					}
-					if w, ok := c.set.SnapDown(limit); ok && (floor == 0 || w >= floor) && chk.OK(c.id, complete, running) {
-						c.startAt(now, w)
-						running[c.id] = true
-						avail -= w
-						continue
-					}
-				}
-				// Blocked: aim for the full target width, wires willing.
-				target, ok := c.set.SnapDown(st.capFor(tc, tamWidth))
-				if !ok || (floor > 0 && target < floor) {
-					continue
-				}
-				if w, ok := preemptFor(cores, idx, pos, target, avail, now, chk, complete, running); ok {
-					splits++
-					avail = w
-					c.startAt(now, target)
-					running[c.id] = true
-					avail -= target
-				}
-			}
+	var out []*pack.Genome
+	for _, less := range []func(a, b *pack.Core) bool{pack.ByTime, pack.ByArea, pack.Ascending(pack.ByTime), pack.Ascending(pack.ByArea)} {
+		perm := p.Order(less)
+		for _, f := range floors {
+			out = append(out, &pack.Genome{Perm: perm, Cap: full, Floor: f, Preempt: true})
 		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("rectpack: no core can run at t=%d with %d cores left", now, left)
-		}
-		// Advance to the earliest segment completion and retire everything
-		// that ends there. Suspensions never make events: segments only end
-		// here or inside the fill pass above, so every event retires a core.
-		var next int64 = -1
-		for _, c := range cores {
-			if c.state == pcRunning {
-				if end := c.segStart + c.remaining; next == -1 || end < next {
-					next = end
-				}
-			}
-		}
-		for _, c := range cores {
-			if c.state == pcRunning && c.segStart+c.remaining == next {
-				c.closeSeg(next)
-				c.state = pcDone
-				delete(running, c.id)
-				complete[c.id] = true
-				avail += c.width
-				left--
-			}
-		}
-		now = next
-	}
-	return &presult{cores: cores, makespan: now, events: events, splits: splits}, nil
-}
-
-// startAt opens a core's first segment at the chosen width.
-func (c *preemptCore) startAt(now int64, width int) {
-	c.state = pcRunning
-	c.width = width
-	c.remaining = c.set.Time(width)
-	c.segStart = now
-}
-
-// resumeAt reopens a suspended core at its fixed width. A resume after a
-// gap is a preemption: it consumes one budget unit and pays the wrapper's
-// penalty; a seamless resume (suspended and re-admitted at the same
-// instant) merges back into the previous segment for free.
-func (c *preemptCore) resumeAt(now int64, penFor func(id, width int) int64) {
-	if n := len(c.segs); n > 0 && c.segs[n-1].end < now {
-		pen := penFor(c.id, c.width)
-		c.preempts++
-		c.penalty += pen
-		c.remaining += pen
-	}
-	c.state = pcRunning
-	c.segStart = now
-}
-
-// preemptFor tries to free enough wires for a blocked core (cores[idx[pos]],
-// needing want wires) by suspending strictly weaker running cores — later
-// than pos in the strategy order — that have budget left and have made
-// progress this segment. Victims are taken weakest first, so the strongest
-// runners keep their wires. On success the suspensions are committed
-// (segments closed at now, wires freed) and the new avail (>= want) is
-// returned with ok true. When the core still cannot start — too few
-// eligible victim wires, or the constraint checker refuses even with the
-// victims gone — nothing is suspended and ok is false.
-func preemptFor(cores []*preemptCore, idx []int, pos, want, avail int, now int64, chk *constraint.Checker, complete, running map[int]bool) (int, bool) {
-	id := cores[idx[pos]].id
-	var victims []*preemptCore
-	freed := 0
-	for vpos := len(idx) - 1; vpos > pos && avail+freed < want; vpos-- {
-		v := cores[idx[vpos]]
-		if v.state != pcRunning || v.preempts >= v.budget || v.segStart >= now {
-			continue
-		}
-		victims = append(victims, v)
-		freed += v.width
-	}
-	if avail+freed < want {
-		return avail, false
-	}
-	for _, v := range victims {
-		delete(running, v.id)
-	}
-	if !chk.OK(id, complete, running) {
-		for _, v := range victims {
-			running[v.id] = true
-		}
-		return avail, false
-	}
-	for _, v := range victims {
-		v.closeSeg(now)
-		v.state = pcPreempted
-	}
-	return avail + freed, true
-}
-
-// emitPreempt maps a preemptive pass onto concrete TAM wires. Fragments
-// are placed in global start order; a resumed segment prefers its previous
-// wires (wire stability), exactly like the classic scheduler's preempted
-// resumes. Split layouts are busier than one-piece ones, so first-fit
-// placement can run out of simultaneously-free wires — that is an error
-// here, and the caller falls back to the next-best candidate pass.
-func emitPreempt(opt *sched.Optimizer, params sched.Params, res *presult) (*sched.Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
-	if err != nil {
-		return nil, err
-	}
-	type frag struct {
-		c   *preemptCore
-		seg span
-	}
-	frags := make([]frag, 0, len(res.cores))
-	for _, c := range res.cores {
-		for _, sg := range c.segs {
-			frags = append(frags, frag{c, sg})
-		}
-	}
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].seg.start != frags[j].seg.start {
-			return frags[i].seg.start < frags[j].seg.start
-		}
-		return frags[i].c.id < frags[j].c.id
-	})
-	out := &sched.Schedule{
-		SOC:         opt.SOC().Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*sched.Assignment, len(res.cores)),
-		Makespan:    res.makespan,
-		Bin:         bin,
-		Events:      res.events,
-	}
-	for _, f := range frags {
-		var prefer []int
-		a := out.Assignments[f.c.id]
-		if a != nil {
-			prefer = a.Pieces[len(a.Pieces)-1].Wires
-		}
-		p, err := bin.PlacePreferred(f.c.id, f.c.width, f.seg.start, f.seg.end, prefer)
-		if err != nil {
-			return nil, fmt.Errorf("rectpack: preemptive wire assignment: %v", err)
-		}
-		if a == nil {
-			d := opt.Design(f.c.id, f.c.width)
-			if d == nil {
-				return nil, fmt.Errorf("rectpack: no cached design for core %d width %d", f.c.id, f.c.width)
-			}
-			a = &sched.Assignment{
-				CoreID:        f.c.id,
-				Width:         f.c.width,
-				Preemptions:   f.c.preempts,
-				PenaltyCycles: f.c.penalty,
-				BaseTime:      f.c.set.Time(f.c.width),
-				ScanIn:        d.ScanInMax,
-				ScanOut:       d.ScanOutMax,
-			}
-			out.Assignments[f.c.id] = a
-		}
-		a.Pieces = append(a.Pieces, *p)
-	}
-	return out, nil
-}
-
-// penaltyFn returns the per-resume preemption penalty lookup, served from
-// the optimizer's wrapper-design cache.
-func penaltyFn(opt *sched.Optimizer) func(id, width int) int64 {
-	return func(id, width int) int64 {
-		d := opt.Design(id, width)
-		if d == nil {
-			// Width in 1..maxWidth and core validated: cannot happen.
-			panic(fmt.Sprintf("rectpack: no cached design for core %d width %d", id, width))
-		}
-		return d.PreemptionPenalty()
-	}
-}
-
-// preemptStrategies returns the splitting pass portfolio: floor-bearing
-// strategies, since only a quality floor (or an all-or-nothing width
-// demand) can block a core and so trigger a preemption — cap-only
-// strategies always snap down to some width and never split. Ascending
-// orders are raced alongside the usual decreasing ones because the
-// preemption-budget policy puts budgets on the larger cores: with small
-// cores in front, the budgeted giants are the low-priority victims, and a
-// floor-blocked small core can split a giant's rectangle and run in the
-// gap — the same squeeze the classic scheduler's preempt-larger policy
-// exploits.
-func preemptStrategies() []strategy {
-	full := func(c *packCore, w int) int { return w }
-	minAreaFloor := func(c *packCore) int { return c.minAreaWidth }
-	widestFloor := func(c *packCore) int { return c.set.MaxParetoWidth() }
-	ascTime := func(a, b *packCore) bool { return orderByTime(b, a) }
-	ascArea := func(a, b *packCore) bool { return orderByArea(b, a) }
-	orders := []func(a, b *packCore) bool{orderByTime, orderByArea, ascTime, ascArea}
-	var out []strategy
-	for _, order := range orders {
-		for _, stretch := range []int64{25, 50, 100} {
-			out = append(out, strategy{order: order, capFor: full, minFor: qualityFloor(stretch)})
-		}
-		out = append(out, strategy{order: order, capFor: full, minFor: minAreaFloor})
-		out = append(out, strategy{order: order, capFor: full, minFor: widestFloor})
 	}
 	return out
 }
 
-// candidate is one pass outcome awaiting wire assignment: exactly one of
-// np (non-preemptive) or pp (preemptive) is set.
-type candidate struct {
-	makespan int64
-	np       *result
-	pp       *presult
-}
-
-// Schedule packs the optimizer's SOC with every non-preemptive strategy
-// plus the splitting portfolio and returns the shortest placeable
-// schedule. With the same parameters it is never worse than rectpack —
-// the non-preemptive passes are a subset of its race.
+// Schedule packs the optimizer's SOC with rectpack's 26 genomes followed
+// by the 20 splitting ones and returns the shortest placeable schedule.
+// Ties go to the earlier genome, so with the same parameters it is never
+// worse than rectpack and prefers an unsplit layout.
 func (*PreemptBackend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -405,77 +91,19 @@ func (*PreemptBackend) Schedule(ctx context.Context, opt *sched.Optimizer, param
 	if err := chaos.InjectContext(ctx, sitePreempt); err != nil {
 		return nil, err
 	}
-	params = params.Defaults()
-	cores, chk, err := buildCores(ctx, opt, params)
+	p, err := pack.New(ctx, Name, opt, params)
 	if err != nil {
 		return nil, err
 	}
-	penFor := penaltyFn(opt)
-	var cands []candidate
-	var firstErr error
-	for _, st := range strategies() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := pack(cores, st, chk, params.TAMWidth)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		cands = append(cands, candidate{makespan: res.makespan, np: res})
+	genomes := append(p.Portfolio(p.TAMWidth), preemptGenomes(p)...)
+	sch, res, err := p.Best(ctx, genomes, "every preemptive strategy failed")
+	if err != nil {
+		return nil, err
 	}
-	for _, st := range preemptStrategies() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := preemptPack(cores, st, chk, params.TAMWidth, params.MaxPreemptions, penFor)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		cands = append(cands, candidate{makespan: res.makespan, pp: res})
-	}
-	// Emit candidates best-first: wire assignment may reject a split
-	// layout, in which case the next-best pass gets its chance. Ties break
-	// toward the earlier pass, so the result is deterministic.
-	used := make([]bool, len(cands))
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best := -1
-		for i := range cands {
-			if used[i] {
-				continue
-			}
-			if best < 0 || cands[i].makespan < cands[best].makespan {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("rectpack: every preemptive strategy failed: %w", firstErr)
-		}
-		used[best] = true
-		var sch *sched.Schedule
-		if cands[best].pp != nil {
-			sch, err = emitPreempt(opt, params, cands[best].pp)
-			span.SetAttr("splits", cands[best].pp.splits)
-		} else {
-			sch, err = emit(opt, params, cands[best].np)
-		}
-		if err == nil {
-			span.SetAttr("strategies", len(cands))
-			span.SetAttr("makespan", sch.Makespan)
-			return sch, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
+	span.SetAttr("strategies", len(genomes))
+	span.SetAttr("splits", res.Splits)
+	span.SetAttr("makespan", sch.Makespan)
+	return sch, nil
 }
 
 func init() {

@@ -10,9 +10,9 @@
 // eligible core at the best Pareto width that fits the free TAM wires,
 // subject to the same precedence / concurrency / power / BIST checks the
 // classic scheduler uses. A small deterministic portfolio of (ordering,
-// width-cap, quality-floor) strategies is packed and the shortest result
-// wins — still an order of magnitude fewer scheduler passes than the
-// classic grid sweep.
+// width-cap, quality-floor) genomes is packed by internal/pack and the
+// shortest result wins — still an order of magnitude fewer scheduler
+// passes than the classic grid sweep.
 //
 // The backend registers itself as "rectpack" with the sched backend
 // registry on import; it reuses the sched.Optimizer's cached Pareto
@@ -21,14 +21,10 @@ package rectpack
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/constraint"
 	"repro/internal/obs"
-	"repro/internal/pareto"
-	"repro/internal/rect"
+	"repro/internal/pack"
 	"repro/internal/sched"
 )
 
@@ -70,37 +66,11 @@ func hasBudget(budgets map[int]int) bool {
 	return false
 }
 
-// strategy is one deterministic packing pass configuration.
-type strategy struct {
-	// order ranks unstarted cores; the packer starts the first eligible
-	// core that fits (best-fit decreasing over the chosen size key).
-	order func(a, b *packCore) bool
-	// capFor bounds the width offered to a core (the best fit is the
-	// largest Pareto width <= min(cap, free wires)).
-	capFor func(c *packCore, tamWidth int) int
-	// minFor is the quality floor: a core is not started below this width
-	// (0 = any width), so a long test is never squeezed onto one wire
-	// just because a wire is free.
-	minFor func(c *packCore) int
-}
-
-// packCore is the per-core packing state of one pass.
-type packCore struct {
-	id  int
-	set *pareto.Set // capped at min(MaxWidth, TAMWidth)
-	// minAreaWidth is the Pareto width minimizing w·T(w).
-	minAreaWidth int
-
-	started bool
-	width   int
-	start   int64
-	end     int64
-}
-
-// Schedule packs the optimizer's SOC and returns the shortest schedule any
-// strategy produced. The result is non-preemptive (preemption budgets are
-// upper bounds; rectpack simply never splits a rectangle) and satisfies
-// every constraint the classic backend honors.
+// Schedule packs the optimizer's SOC with the 26-genome portfolio (caps
+// relative to the TAM width) and returns the shortest schedule. The
+// result is non-preemptive (preemption budgets are upper bounds; rectpack
+// simply never splits a rectangle) and satisfies every constraint the
+// classic backend honors.
 func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched.Params) (*sched.Schedule, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,277 +81,18 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 	if err := chaos.InjectContext(ctx, siteSchedule); err != nil {
 		return nil, err
 	}
-	params = params.Defaults()
-	cores, chk, err := buildCores(ctx, opt, params)
+	p, err := pack.New(ctx, Name, opt, params)
 	if err != nil {
 		return nil, err
 	}
-
-	var best *result
-	var firstErr error
-	for _, st := range strategies() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := pack(cores, st, chk, params.TAMWidth)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if best == nil || res.makespan < best.makespan {
-			best = res
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("rectpack: every strategy failed: %w", firstErr)
-	}
-	span.SetAttr("strategies", len(strategies()))
-	span.SetAttr("makespan", best.makespan)
-	return emit(opt, params, best)
-}
-
-// buildCores validates the parameters and assembles the shared per-core
-// packing inputs: the capped Pareto sets plus the constraint checker. Both
-// the non-preemptive and the preemptive backend start here.
-func buildCores(ctx context.Context, opt *sched.Optimizer, params sched.Params) ([]*packCore, *constraint.Checker, error) {
-	if params.TAMWidth < 1 {
-		return nil, nil, fmt.Errorf("rectpack: non-positive TAM width %d", params.TAMWidth)
-	}
-	if params.MaxWidth > opt.MaxWidth() {
-		return nil, nil, fmt.Errorf("rectpack: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, opt.MaxWidth())
-	}
-	s := opt.SOC()
-	chk, err := constraint.New(s, constraint.Config{
-		PowerMax:        params.PowerMax,
-		IgnoreHierarchy: params.IgnoreHierarchy,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-	cores := make([]*packCore, 0, len(s.Cores))
-	for _, c := range s.Cores {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		set, err := opt.ParetoSet(c.ID).Capped(wmax)
-		if err != nil {
-			return nil, nil, err
-		}
-		pc := &packCore{id: c.ID, set: set, minAreaWidth: minAreaWidth(set)}
-		cores = append(cores, pc)
-	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].id < cores[j].id })
-	return cores, chk, nil
-}
-
-// Core orderings shared by the non-preemptive, preemptive, and annealing
-// pass portfolios (decreasing size keys; stable sorts break ties toward
-// the lower core ID).
-func orderByTime(a, b *packCore) bool   { return a.set.MinTime() > b.set.MinTime() }
-func orderByArea(a, b *packCore) bool   { return a.set.MinArea() > b.set.MinArea() }
-func orderBySerial(a, b *packCore) bool { return a.set.Time(1) > b.set.Time(1) }
-func orderByWidth(a, b *packCore) bool {
-	if a.set.MaxParetoWidth() != b.set.MaxParetoWidth() {
-		return a.set.MaxParetoWidth() > b.set.MaxParetoWidth()
-	}
-	return a.set.MinTime() > b.set.MinTime()
-}
-
-// qualityFloor returns the smallest width whose time is within stretchPct%
-// of the core's best time: starting narrower than this is worse than
-// waiting.
-func qualityFloor(stretchPct int64) func(*packCore) int {
-	return func(c *packCore) int {
-		limit := c.set.MinTime() + c.set.MinTime()*stretchPct/100
-		for _, p := range c.set.Points {
-			if p.Time <= limit {
-				return p.Width
-			}
-		}
-		return c.set.MaxParetoWidth()
-	}
-}
-
-// strategies returns the deterministic pass portfolio, in tie-break order.
-func strategies() []strategy {
-	full := func(c *packCore, w int) int { return w }
-	frac := func(den int) func(*packCore, int) int {
-		return func(c *packCore, w int) int {
-			f := w / den
-			if f < 1 {
-				f = 1
-			}
-			return f
-		}
-	}
-	minArea := func(c *packCore, w int) int { return c.minAreaWidth }
-	anyWidth := func(c *packCore) int { return 0 }
-
-	var out []strategy
-	for _, order := range []func(a, b *packCore) bool{orderByTime, orderByArea, orderBySerial, orderByWidth} {
-		for _, capFor := range []func(*packCore, int) int{full, frac(2), frac(3), frac(4), minArea} {
-			out = append(out, strategy{order: order, capFor: capFor, minFor: anyWidth})
-		}
-	}
-	for _, order := range []func(a, b *packCore) bool{orderByTime, orderByArea} {
-		for _, stretch := range []int64{25, 50, 100} {
-			out = append(out, strategy{order: order, capFor: full, minFor: qualityFloor(stretch)})
-		}
-	}
-	return out
-}
-
-// minAreaWidth returns the Pareto width minimizing w·T(w).
-func minAreaWidth(set *pareto.Set) int {
-	best := set.Points[0].Width
-	bestArea := int64(set.Points[0].Width) * set.Points[0].Time
-	for _, p := range set.Points[1:] {
-		if a := int64(p.Width) * p.Time; a < bestArea {
-			best, bestArea = p.Width, a
-		}
-	}
-	return best
-}
-
-// result is one pass's outcome before wire assignment.
-type result struct {
-	cores    []*packCore // started/width/start/end filled, id-ascending
-	makespan int64
-	events   int
-}
-
-// pack runs one event-driven best-fit-decreasing pass. At every event time
-// it starts, in strategy order, each eligible unstarted core at the
-// largest Pareto width that fits the free wires (bounded by the strategy's
-// cap and quality floor), then advances to the earliest completion.
-func pack(template []*packCore, st strategy, chk *constraint.Checker, tamWidth int) (*result, error) {
-	cores := make([]*packCore, len(template))
-	for i, c := range template {
-		cp := *c
-		cp.started = false
-		cp.width, cp.start, cp.end = 0, 0, 0
-		cores[i] = &cp
-	}
-	// cores is id-ascending, so a stable sort on the strategy key breaks
-	// ties toward the lower core ID — every pass is deterministic.
-	byOrder := make([]*packCore, len(cores))
-	copy(byOrder, cores)
-	sort.SliceStable(byOrder, func(i, j int) bool { return st.order(byOrder[i], byOrder[j]) })
-
-	running := make(map[int]bool)
-	complete := make(map[int]bool)
-	var now int64
-	avail := tamWidth
-	left := len(cores)
-	events := 0
-	for left > 0 {
-		events++
-		// Fill pass: start every eligible core the free wires can carry,
-		// biggest (by the strategy's key) first.
-		for _, c := range byOrder {
-			if c.started || avail < 1 {
-				continue
-			}
-			limit := st.capFor(c, tamWidth)
-			if limit > avail {
-				limit = avail
-			}
-			w, ok := c.set.SnapDown(limit)
-			if !ok {
-				continue
-			}
-			if floor := st.minFor(c); floor > 0 && w < floor {
-				continue
-			}
-			if !chk.OK(c.id, complete, running) {
-				continue
-			}
-			c.started = true
-			c.width = w
-			c.start = now
-			c.end = now + c.set.Time(w)
-			running[c.id] = true
-			avail -= w
-		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("rectpack: no core can start at t=%d with %d cores left", now, left)
-		}
-		// Advance to the earliest completion and retire everything that
-		// ends there.
-		var next int64 = -1
-		for _, c := range cores {
-			if running[c.id] && (next == -1 || c.end < next) {
-				next = c.end
-			}
-		}
-		for _, c := range cores {
-			if running[c.id] && c.end == next {
-				delete(running, c.id)
-				complete[c.id] = true
-				avail += c.width
-				left--
-			}
-		}
-		now = next
-	}
-	var makespan int64
-	for _, c := range cores {
-		if c.end > makespan {
-			makespan = c.end
-		}
-	}
-	return &result{cores: cores, makespan: makespan, events: events}, nil
-}
-
-// emit maps the winning pass onto concrete TAM wires and builds the
-// sched.Schedule, with wrapper metadata served from the optimizer's cache.
-func emit(opt *sched.Optimizer, params sched.Params, res *result) (*sched.Schedule, error) {
-	bin, err := rect.NewBin(params.TAMWidth)
+	genomes := p.Portfolio(p.TAMWidth)
+	sch, _, err := p.Best(ctx, genomes, "every strategy failed")
 	if err != nil {
 		return nil, err
 	}
-	placed := make([]*packCore, len(res.cores))
-	copy(placed, res.cores)
-	sort.Slice(placed, func(i, j int) bool {
-		if placed[i].start != placed[j].start {
-			return placed[i].start < placed[j].start
-		}
-		return placed[i].id < placed[j].id
-	})
-	out := &sched.Schedule{
-		SOC:         opt.SOC().Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*sched.Assignment, len(res.cores)),
-		Makespan:    res.makespan,
-		Bin:         bin,
-		Events:      res.events,
-	}
-	for _, c := range placed {
-		p, err := bin.Place(c.id, c.width, c.start, c.end)
-		if err != nil {
-			return nil, fmt.Errorf("rectpack: wire assignment: %v", err)
-		}
-		d := opt.Design(c.id, c.width)
-		if d == nil {
-			return nil, fmt.Errorf("rectpack: no cached design for core %d width %d", c.id, c.width)
-		}
-		out.Assignments[c.id] = &sched.Assignment{
-			CoreID:   c.id,
-			Width:    c.width,
-			Pieces:   []rect.Piece{*p},
-			BaseTime: c.set.Time(c.width),
-			ScanIn:   d.ScanInMax,
-			ScanOut:  d.ScanOutMax,
-		}
-	}
-	return out, nil
+	span.SetAttr("strategies", len(genomes))
+	span.SetAttr("makespan", sch.Makespan)
+	return sch, nil
 }
 
 func init() {
