@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/lb"
 	"repro/internal/obs"
 	"repro/internal/resil"
 )
@@ -503,7 +504,7 @@ func (pb *portfolioBackend) Schedule(ctx context.Context, opt *Optimizer, params
 		}
 		return nil, fmt.Errorf("sched: portfolio has no backends to race")
 	}
-	floor := optimalityFloor(opt, params)
+	floor := opt.LowerBound(params)
 	admitted, benched := pb.admit(racers)
 	ctx, span := obs.Start(ctx, "portfolio/race")
 	defer span.End()
@@ -539,37 +540,22 @@ func (pb *portfolioBackend) Schedule(ctx context.Context, opt *Optimizer, params
 	return best, nil
 }
 
-// optimalityFloor returns the scheduling lower bound LB(W) = max(⌈Σ
-// minArea / W⌉, bottleneck) computed from the optimizer's cached Pareto
-// sets, or 0 when the parameters are out of the cache's range (the racers
-// will surface the real error).
-func optimalityFloor(opt *Optimizer, params Params) int64 {
+// LowerBound returns the scheduling lower bound LB(W) for params,
+// computed from the optimizer's cached Pareto sets, or 0 when params are
+// out of the cache's range. It is the portfolio's early-stop floor, so an
+// out-of-range request races to the backends' real error instead.
+func (o *Optimizer) LowerBound(params Params) int64 {
 	params = params.Defaults()
-	wmax := params.MaxWidth
-	if wmax > params.TAMWidth {
-		wmax = params.TAMWidth
-	}
-	if wmax < 1 || params.MaxWidth > opt.maxWidth || params.TAMWidth < 1 {
+	// FromSets would still bound a MaxWidth above the cache when W is
+	// below it.
+	if params.MaxWidth > o.maxWidth {
 		return 0
 	}
-	var area int64
-	var bottleneck int64
-	for _, set := range opt.sets {
-		capped, err := set.Capped(wmax)
-		if err != nil {
-			return 0
-		}
-		area += capped.MinArea()
-		if t := capped.MinTime(); t > bottleneck {
-			bottleneck = t
-		}
+	b, err := lb.FromSets(o.sets, params.TAMWidth, params.MaxWidth)
+	if err != nil {
+		return 0
 	}
-	w := int64(params.TAMWidth)
-	lb := (area + w - 1) / w
-	if bottleneck > lb {
-		lb = bottleneck
-	}
-	return lb
+	return b.Value()
 }
 
 func init() {

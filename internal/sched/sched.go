@@ -860,17 +860,6 @@ func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percent
 	return o.runGridBest(ctx, params.Workers, grid, o.gridReps(grid))
 }
 
-// sweepBestRef is the pre-deduplication sweep: every grid point runs. It
-// is retained as the differential-testing oracle for SweepBest.
-func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
-	grid := buildGrid(params, percents, deltas)
-	all := make([]int, len(grid))
-	for i := range all {
-		all[i] = i
-	}
-	return o.runGridBest(ctx, params.Workers, grid, all)
-}
-
 // buildGrid expands params and the percent/delta (and, when unset, slack)
 // axes into the flat grid of scheduler runs, in sweep order.
 func buildGrid(params Params, percents, deltas []int) []Params {

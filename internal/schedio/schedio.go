@@ -48,6 +48,10 @@ type ParamsJSON struct {
 	// Seed records the randomized-backend seed (anneal); omitted when
 	// zero, so deterministic-backend files and goldens are unchanged.
 	Seed int64 `json:"seed,omitempty"`
+	// IgnoreHierarchy records that parent/child tests were allowed to
+	// overlap, so Load verifies under the same constraint set the
+	// schedule was built with. Omitted when false.
+	IgnoreHierarchy bool `json:"ignoreHierarchy,omitempty"`
 }
 
 // CoreJSON is one core's assignment.
@@ -76,13 +80,14 @@ func Save(w io.Writer, sch *sched.Schedule) error {
 		SOC:      sch.SOC,
 		TAMWidth: sch.TAMWidth,
 		Params: ParamsJSON{
-			Percent:     sch.Params.Percent,
-			Delta:       sch.Params.Delta,
-			PowerMax:    sch.Params.PowerMax,
-			InsertSlack: sch.Params.InsertSlack,
-			MaxWidth:    sch.Params.MaxWidth,
-			Backend:     sch.Params.Backend,
-			Seed:        sch.Params.Seed,
+			Percent:         sch.Params.Percent,
+			Delta:           sch.Params.Delta,
+			PowerMax:        sch.Params.PowerMax,
+			InsertSlack:     sch.Params.InsertSlack,
+			MaxWidth:        sch.Params.MaxWidth,
+			Backend:         sch.Params.Backend,
+			Seed:            sch.Params.Seed,
+			IgnoreHierarchy: sch.Params.IgnoreHierarchy,
 		},
 		Makespan:   sch.Makespan,
 		DataVolume: sch.DataVolume(),
@@ -154,14 +159,15 @@ func Load(r io.Reader, s *soc.SOC) (*sched.Schedule, error) {
 		SOC:      f.SOC,
 		TAMWidth: f.TAMWidth,
 		Params: sched.Params{
-			TAMWidth:    f.TAMWidth,
-			Percent:     f.Params.Percent,
-			Delta:       f.Params.Delta,
-			PowerMax:    f.Params.PowerMax,
-			InsertSlack: f.Params.InsertSlack,
-			MaxWidth:    f.Params.MaxWidth,
-			Backend:     f.Params.Backend,
-			Seed:        f.Params.Seed,
+			TAMWidth:        f.TAMWidth,
+			Percent:         f.Params.Percent,
+			Delta:           f.Params.Delta,
+			PowerMax:        f.Params.PowerMax,
+			InsertSlack:     f.Params.InsertSlack,
+			MaxWidth:        f.Params.MaxWidth,
+			Backend:         f.Params.Backend,
+			Seed:            f.Params.Seed,
+			IgnoreHierarchy: f.Params.IgnoreHierarchy,
 		},
 		Assignments: make(map[int]*sched.Assignment, len(f.Cores)),
 		Makespan:    f.Makespan,

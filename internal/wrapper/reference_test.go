@@ -11,7 +11,7 @@ import (
 // implementation: a linear min-scan for the BFD partition and cell-by-cell
 // water-filling (O(n·w) in the wrapper cell count). It is retained solely
 // as the differential-testing oracle for DesignWrapper, which must produce
-// byte-identical designs; it is not used on any production path.
+// byte-identical designs.
 func designWrapperRef(c *soc.Core, width int) (*Design, error) {
 	if c == nil {
 		return nil, fmt.Errorf("wrapper: nil core")
