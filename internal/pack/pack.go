@@ -304,7 +304,10 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 			c, r := &p.Cores[ci], &runs[ci]
 			switch r.phase {
 			case paused:
-				ok := avail >= r.width && now > r.yieldedAt && p.chk.OK(c.ID, complete, running)
+				if now <= r.yieldedAt {
+					continue // a forced split never resumes at its split instant
+				}
+				ok := avail >= r.width && p.chk.OK(c.ID, complete, running)
 				if !ok && g.Preempt {
 					avail, ok = p.preemptFor(runs, g.Perm, pos, r.width, avail, now, complete, running)
 				}
