@@ -2,9 +2,11 @@ package pack
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/sched"
 	"repro/internal/soc"
 )
@@ -113,4 +115,124 @@ func TestDecodeForcedSplitWaitsForNextEvent(t *testing.T) {
 		t.Errorf("splits = %d, want 1 forced split", res.Splits)
 	}
 	emitVerified(t, p, res)
+}
+
+func benchPacker(t *testing.T, name string, params sched.Params) *Packer {
+	t.Helper()
+	s, err := bench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := sched.New(s, sched.DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(context.Background(), "test", opt, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBestPicksEarliestShortest: Best emits the shortest decoded genome,
+// ties going to the earliest one, and its schedule verifies.
+func TestBestPicksEarliestShortest(t *testing.T) {
+	for _, name := range []string{"demo8", "d695"} {
+		for _, w := range []int{16, 32} {
+			p := benchPacker(t, name, sched.Params{TAMWidth: w})
+			genomes := p.Portfolio(p.TAMWidth)
+			if len(genomes) != 26 {
+				t.Fatalf("portfolio has %d genomes, want 26", len(genomes))
+			}
+			first := -1
+			var min int64
+			for i, g := range genomes {
+				res, err := p.Decode(g)
+				if err != nil {
+					t.Fatalf("%s W=%d genome %d: %v", name, w, i, err)
+				}
+				if first < 0 || res.Makespan < min {
+					first, min = i, res.Makespan
+				}
+			}
+			sch, res, err := p.Best(context.Background(), genomes, "failed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Makespan != min || sch.Makespan != min {
+				t.Fatalf("%s W=%d: Best makespan %d, shortest genome %d", name, w, sch.Makespan, min)
+			}
+			want, _, err := p.Best(context.Background(), genomes[first:first+1], "failed")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameLayout(sch, want) {
+				t.Errorf("%s W=%d: Best did not emit genome %d, the earliest shortest", name, w, first)
+			}
+			if err := p.opt.Verify(sch); err != nil {
+				t.Errorf("%s W=%d: %v", name, w, err)
+			}
+		}
+	}
+}
+
+// sameLayout compares two schedules' per-core widths and pieces.
+func sameLayout(a, b *sched.Schedule) bool {
+	if len(a.Assignments) != len(b.Assignments) {
+		return false
+	}
+	for id, x := range a.Assignments {
+		y := b.Assignments[id]
+		if y == nil || x.Width != y.Width || fmt.Sprint(x.Pieces) != fmt.Sprint(y.Pieces) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBestFailures: when no genome decodes, Best names the failure and
+// wraps the first decode error; a done context stops it with ctx's error.
+func TestBestFailures(t *testing.T) {
+	p := benchPacker(t, "demo8", sched.Params{TAMWidth: 16})
+	// A floor above every core's widest Pareto width never starts anything.
+	stuck := &Genome{Perm: p.Order(ByTime), Cap: p.Uniform(16), Floor: p.Uniform(p.WMax + 1)}
+	_, _, err := p.Best(context.Background(), []*Genome{stuck, stuck}, "every genome failed")
+	want := fmt.Sprintf("test: every genome failed: test: no core can run at t=0 with %d cores left", len(p.Cores))
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := p.Best(ctx, p.Portfolio(16), "failed"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Best returned %v, want context.Canceled", err)
+	}
+}
+
+func TestNewRejectsBadParams(t *testing.T) {
+	opt := splitSOC(t)
+	for _, tc := range []struct {
+		params sched.Params
+		want   string
+	}{
+		{sched.Params{TAMWidth: 0}, "x: non-positive TAM width 0"},
+		{sched.Params{TAMWidth: 8, MaxWidth: sched.DefaultMaxWidth + 1}, "x: params.MaxWidth 65 exceeds optimizer cap 64"},
+	} {
+		if _, err := New(context.Background(), "x", opt, tc.params); err == nil || err.Error() != tc.want {
+			t.Errorf("params %+v: error %v, want %q", tc.params, err, tc.want)
+		}
+	}
+}
+
+// TestCloneIsDeep: a clone owns its slices and always carries a Split
+// vector, so search moves on it never touch the original.
+func TestCloneIsDeep(t *testing.T) {
+	g := &Genome{Perm: []int{1, 0}, Cap: []int{4, 4}, Floor: []int{0, 2}, Preempt: true}
+	c := g.Clone()
+	if len(c.Split) != 2 || c.Split[0] != 0 || !c.Preempt {
+		t.Fatalf("clone %+v: want a zero Split of length 2 and Preempt kept", c)
+	}
+	c.Perm[0], c.Cap[0], c.Floor[0], c.Split[0] = 9, 9, 9, 9
+	if g.Perm[0] != 1 || g.Cap[0] != 4 || g.Floor[0] != 0 || g.Split != nil {
+		t.Fatalf("mutating the clone changed the original: %+v", g)
+	}
 }
