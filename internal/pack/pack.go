@@ -107,6 +107,8 @@ func New(ctx context.Context, name string, opt *sched.Optimizer, params sched.Pa
 		return nil, err
 	}
 	wmax := min(params.MaxWidth, params.TAMWidth)
+	// A validated SOC lists core i+1 at index i, so cores come out
+	// id-ascending.
 	cores := make([]Core, 0, len(s.Cores))
 	for _, c := range s.Cores {
 		if err := ctx.Err(); err != nil {
@@ -118,14 +120,19 @@ func New(ctx context.Context, name string, opt *sched.Optimizer, params sched.Pa
 		}
 		cores = append(cores, Core{ID: c.ID, Set: set, Budget: params.MaxPreemptions[c.ID]})
 	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i].ID < cores[j].ID })
 	return &Packer{Cores: cores, TAMWidth: params.TAMWidth, WMax: wmax, name: name, opt: opt, params: params, chk: chk}, nil
 }
 
-// Decreasing size keys for best-fit-decreasing orders.
-func ByTime(a, b *Core) bool   { return a.Set.MinTime() > b.Set.MinTime() }
-func ByArea(a, b *Core) bool   { return a.Set.MinArea() > b.Set.MinArea() }
+// ByTime is a best-fit-decreasing key: longest best testing time first.
+func ByTime(a, b *Core) bool { return a.Set.MinTime() > b.Set.MinTime() }
+
+// ByArea puts the largest minimum rectangle area first.
+func ByArea(a, b *Core) bool { return a.Set.MinArea() > b.Set.MinArea() }
+
+// BySerial puts the longest one-wire (serial) testing time first.
 func BySerial(a, b *Core) bool { return a.Set.Time(1) > b.Set.Time(1) }
+
+// ByWidth puts the widest Pareto staircase first, then the longest test.
 func ByWidth(a, b *Core) bool {
 	if a.Set.MaxParetoWidth() != b.Set.MaxParetoWidth() {
 		return a.Set.MaxParetoWidth() > b.Set.MaxParetoWidth()
@@ -293,7 +300,9 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 	for i := range runs {
 		runs[i].segs = firsts[i : i : i+1]
 	}
-	running := make(map[int]bool, n)
+	// The checker ranges over running, and ranging costs the map's
+	// capacity, so running grows with use; complete only answers lookups.
+	running := make(map[int]bool)
 	complete := make(map[int]bool, n)
 	var now int64
 	avail := p.TAMWidth
@@ -343,11 +352,7 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 			}
 		}
 		if len(running) == 0 {
-			verb := "run"
-			if p.name == "rectpack" && !g.Preempt {
-				verb = "start" // rectpack's historical wording for its plain passes
-			}
-			return nil, fmt.Errorf("%s: no core can %s at t=%d with %d cores left", p.name, verb, now, left)
+			return nil, fmt.Errorf("%s: no core can run at t=%d with %d cores left", p.name, now, left)
 		}
 		// Advance to the earliest segment end or forced split, then retire
 		// or suspend everything landing there.
