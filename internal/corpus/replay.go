@@ -164,19 +164,18 @@ func Replay(sc Scenario) (map[string][]byte, error) {
 	} else if _, declined := sched.BackendDeclines(b, params); declined {
 		packer = "preempt-rectpack"
 	}
-	for _, lb := range []struct{ layer, backend string }{{LayerRectpack, packer}, {LayerAnneal, "anneal"}} {
-		layer, backend := lb.layer, lb.backend
+	for _, l := range []struct{ layer, backend string }{{LayerRectpack, packer}, {LayerAnneal, "anneal"}} {
 		p := params
-		p.Backend = backend
+		p.Backend = l.backend
 		sch, err := opt.ScheduleBackend(context.Background(), p)
 		if err != nil {
-			return nil, fmt.Errorf("corpus: %s: backend %s: %w", sc.Name, backend, err)
+			return nil, fmt.Errorf("corpus: %s: backend %s: %w", sc.Name, l.backend, err)
 		}
 		buf.Reset()
 		if err := schedio.Save(&buf, sch); err != nil {
-			return nil, fmt.Errorf("corpus: %s: save %s schedule: %w", sc.Name, backend, err)
+			return nil, fmt.Errorf("corpus: %s: save %s schedule: %w", sc.Name, l.backend, err)
 		}
-		out[layer] = append([]byte(nil), buf.Bytes()...)
+		out[l.layer] = append([]byte(nil), buf.Bytes()...)
 	}
 	return out, nil
 }

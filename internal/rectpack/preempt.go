@@ -65,7 +65,7 @@ func preemptGenomes(p *pack.Packer) []*pack.Genome {
 	full := p.Uniform(p.TAMWidth)
 	floors := [][]int{
 		p.PerCore(pack.QualityWidth(25)), p.PerCore(pack.QualityWidth(50)), p.PerCore(pack.QualityWidth(100)),
-		p.PerCore(pack.MinAreaWidth), p.PerCore(func(s *pareto.Set) int { return s.MaxParetoWidth() }),
+		p.PerCore(pack.MinAreaWidth), p.PerCore((*pareto.Set).MaxParetoWidth),
 	}
 	var out []*pack.Genome
 	for _, less := range []func(a, b *pack.Core) bool{pack.ByTime, pack.ByArea, pack.Ascending(pack.ByTime), pack.Ascending(pack.ByArea)} {
