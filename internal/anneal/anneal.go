@@ -2,13 +2,14 @@
 // simulated-annealing local search over rectangle placements. A candidate
 // solution is a genome — a core priority order, a per-core width cap and
 // quality floor over the Pareto staircase, and an optional forced split
-// point when the core has preemption budget — decoded by the same
-// event-driven packing the rectpack backend uses, honoring the identical
+// point when the core has preemption budget — decoded by internal/pack,
+// the packer the rectpack backends use, honoring the identical
 // precedence / concurrency / power / BIST checks. The search is seeded
-// with every strategy of rectpack's deterministic portfolio, so its
-// best-ever solution is never worse than rectpack on the same parameters;
-// annealing then perturbs orders, Pareto points, and split points to
-// escape the greedy packer's local minima.
+// with rectpack's deterministic portfolio, its cap ladder taken from the
+// per-core width cap rather than the TAM width, so whenever the TAM is no
+// wider than that cap its best-ever solution is never worse than
+// rectpack's; annealing then perturbs orders, Pareto points, and split
+// points to escape the greedy packer's local minima.
 //
 // The search is fully deterministic under a fixed Params.Seed (zero means
 // sched.DefaultSeed): the same seed always yields byte-identical
