@@ -83,13 +83,8 @@ func neighbor(g *pack.Genome, cores []pack.Core, wmax int, anyBudget bool, rng *
 		return func() { g.Perm[i], g.Perm[j] = g.Perm[j], g.Perm[i] }
 	case kind < 50: // relocate one core in the priority order
 		from, to := rng.Intn(n), rng.Intn(n)
-		v := g.Perm[from]
-		g.Perm = append(g.Perm[:from], g.Perm[from+1:]...)
-		g.Perm = append(g.Perm[:to], append([]int{v}, g.Perm[to:]...)...)
-		return func() {
-			g.Perm = append(g.Perm[:to], g.Perm[to+1:]...)
-			g.Perm = append(g.Perm[:from], append([]int{v}, g.Perm[from:]...)...)
-		}
+		relocate(g.Perm, from, to)
+		return func() { relocate(g.Perm, to, from) }
 	case kind < 75: // re-aim a core at a different Pareto point
 		ci := rng.Intn(n)
 		old := g.Cap[ci]
@@ -152,6 +147,18 @@ func neighbor(g *pack.Genome, cores []pack.Core, wmax int, anyBudget bool, rng *
 	}
 }
 
+// relocate moves perm[from] to index to in place, shifting the entries
+// between them by one.
+func relocate(perm []int, from, to int) {
+	v := perm[from]
+	if from < to {
+		copy(perm[from:to], perm[from+1:to+1])
+	} else {
+		copy(perm[to+1:from+1], perm[to:from])
+	}
+	perm[to] = v
+}
+
 // iterBudget scales the annealing move count down as the SOC grows, so a
 // Schedule call stays a few tens of milliseconds across the corpus: each
 // move costs one decode, roughly quadratic in the core count.
@@ -209,15 +216,15 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := p.Decode(g)
+		cost, err := p.Makespan(g)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if cur == nil || res.Makespan < curCost {
-			cur, curCost = g, res.Makespan
+		if cur == nil || cost < curCost {
+			cur, curCost = g, cost
 		}
 	}
 	if cur == nil {
@@ -245,10 +252,9 @@ func (*Backend) Schedule(ctx context.Context, opt *sched.Optimizer, params sched
 			return nil, err
 		}
 		undo := neighbor(cur, p.Cores, p.WMax, anyBudget, rng)
-		res, err := p.Decode(cur)
-		cost := int64(math.MaxInt64)
-		if err == nil {
-			cost = res.Makespan
+		cost, err := p.Makespan(cur)
+		if err != nil {
+			cost = math.MaxInt64
 		}
 		delta := float64(cost - curCost)
 		if delta <= 0 || (err == nil && rng.Float64() < math.Exp(-delta/temp)) {

@@ -71,8 +71,9 @@ func (g *Genome) Clone() *Genome {
 }
 
 // Packer holds the validated inputs shared by every pass over one
-// (optimizer, params) pair. It is read-only after New, so passes may run
-// concurrently.
+// (optimizer, params) pair. Decode, Emit and Best only read them, but
+// Makespan decodes into scratch the Packer owns, so a Packer is not safe
+// for concurrent use.
 type Packer struct {
 	// Cores are the packing inputs, id-ascending.
 	Cores []Core
@@ -85,6 +86,8 @@ type Packer struct {
 	opt    *sched.Optimizer
 	params sched.Params
 	chk    *constraint.Checker
+	// scratch is Makespan's decode state, reused across calls.
+	scratch *decoder
 }
 
 // New validates params (after Defaults) against opt and builds the capped
@@ -282,6 +285,34 @@ type Result struct {
 	Splits int
 }
 
+// decoder is the mutable state of one packing pass.
+type decoder struct {
+	runs     []run // parallel to Packer.Cores
+	running  constraint.Set
+	complete constraint.Set
+	victims  []int // preemptFor's buffer
+}
+
+// newDecoder returns fresh state for n cores, each with backing for its
+// first segment.
+func newDecoder(n int) *decoder {
+	d := &decoder{runs: make([]run, n), running: constraint.NewSet(n), complete: constraint.NewSet(n)}
+	firsts := make([]span, n)
+	for i := range d.runs {
+		d.runs[i].segs = firsts[i : i : i+1]
+	}
+	return d
+}
+
+// reset readies d for another pass, keeping every segment buffer.
+func (d *decoder) reset() {
+	for i := range d.runs {
+		d.runs[i] = run{segs: d.runs[i].segs[:0]}
+	}
+	d.running.Clear()
+	d.complete.Clear()
+}
+
 // Decode runs g through the event-driven packer. At every event each
 // core is offered, in g's priority order, the largest Pareto width that
 // fits the free wires under its cap, subject to its floor and the
@@ -294,19 +325,35 @@ type Result struct {
 // free. Decode fails when g is infeasible: a constraint deadlock, or
 // floors no reachable width satisfies.
 func (p *Packer) Decode(g *Genome) (*Result, error) {
-	n := len(p.Cores)
-	runs := make([]run, n)
-	firsts := make([]span, n) // backing for each core's first segment
-	for i := range runs {
-		runs[i].segs = firsts[i : i : i+1]
+	d := newDecoder(len(p.Cores))
+	res := &Result{runs: d.runs}
+	var err error
+	res.Makespan, res.Events, res.Splits, err = p.decode(g, d)
+	if err != nil {
+		return nil, err
 	}
-	// The checker ranges over running, and ranging costs the map's
-	// capacity, so running grows with use; complete only answers lookups.
-	running := make(map[int]bool)
-	complete := make(map[int]bool, n)
+	return res, nil
+}
+
+// Makespan returns Decode(g)'s makespan, or its error, decoding into the
+// Packer's own scratch so a search can score genomes without allocating.
+func (p *Packer) Makespan(g *Genome) (int64, error) {
+	if p.scratch == nil {
+		p.scratch = newDecoder(len(p.Cores))
+	} else {
+		p.scratch.reset()
+	}
+	makespan, _, _, err := p.decode(g, p.scratch)
+	return makespan, err
+}
+
+// decode runs Decode's pass over fresh state d and returns the makespan,
+// the event count and the split count.
+func (p *Packer) decode(g *Genome, d *decoder) (makespan int64, events, splits int, err error) {
+	runs, running, complete := d.runs, d.running, d.complete
 	var now int64
 	avail := p.TAMWidth
-	left, events, splits := n, 0, 0
+	left := len(p.Cores)
 	for left > 0 {
 		events++
 		for pos, ci := range g.Perm {
@@ -318,11 +365,11 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 				}
 				ok := avail >= r.width && p.chk.OK(c.ID, complete, running)
 				if !ok && g.Preempt {
-					avail, ok = p.preemptFor(runs, g.Perm, pos, r.width, avail, now, complete, running)
+					avail, ok = p.preemptFor(d, g.Perm, pos, r.width, avail, now)
 				}
 				if ok {
 					p.resume(c, r, now)
-					running[c.ID] = true
+					running.Add(c.ID)
 					avail -= r.width
 				}
 			case pending:
@@ -331,7 +378,7 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 					w, ok := c.Set.SnapDown(min(g.Cap[ci], avail))
 					if ok && (floor == 0 || w >= floor) && p.chk.OK(c.ID, complete, running) {
 						splits += p.start(g, ci, r, now, w)
-						running[c.ID] = true
+						running.Add(c.ID)
 						avail -= w
 						continue
 					}
@@ -344,15 +391,15 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 				if !ok || (floor > 0 && target < floor) {
 					continue
 				}
-				if avail, ok = p.preemptFor(runs, g.Perm, pos, target, avail, now, complete, running); ok {
+				if avail, ok = p.preemptFor(d, g.Perm, pos, target, avail, now); ok {
 					splits += 1 + p.start(g, ci, r, now, target)
-					running[c.ID] = true
+					running.Add(c.ID)
 					avail -= target
 				}
 			}
 		}
-		if len(running) == 0 {
-			return nil, fmt.Errorf("%s: no core can run at t=%d with %d cores left", p.name, now, left)
+		if running.Empty() {
+			return 0, 0, 0, fmt.Errorf("%s: no core can run at t=%d with %d cores left", p.name, now, left)
 		}
 		// Advance to the earliest segment end or forced split, then retire
 		// or suspend everything landing there.
@@ -369,7 +416,7 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 			if r.phase != active || r.stop() != next {
 				continue
 			}
-			delete(running, p.Cores[i].ID)
+			running.Remove(p.Cores[i].ID)
 			avail += r.width
 			if r.yieldAt == next {
 				r.suspend(next, next)
@@ -377,12 +424,12 @@ func (p *Packer) Decode(g *Genome) (*Result, error) {
 			}
 			r.closeSeg(next)
 			r.phase = finished
-			complete[p.Cores[i].ID] = true
+			complete.Add(p.Cores[i].ID)
 			left--
 		}
 		now = next
 	}
-	return &Result{runs: runs, Makespan: now, Events: events, Splits: splits}, nil
+	return now, events, splits, nil
 }
 
 // stop returns the instant the running core's open segment ends: its
@@ -438,8 +485,9 @@ func (p *Packer) resume(c *Core, r *run, now int64) {
 // want) is returned with true. When the core still cannot run (too few
 // victim wires, or the constraint checker refuses even with the victims
 // gone) nothing changes and avail is returned with false.
-func (p *Packer) preemptFor(runs []run, perm []int, pos, want, avail int, now int64, complete, running map[int]bool) (int, bool) {
-	var victims []int
+func (p *Packer) preemptFor(d *decoder, perm []int, pos, want, avail int, now int64) (int, bool) {
+	runs, running := d.runs, d.running
+	victims := d.victims[:0]
 	freed := 0
 	for vpos := len(perm) - 1; vpos > pos && avail+freed < want; vpos-- {
 		vi := perm[vpos]
@@ -450,15 +498,16 @@ func (p *Packer) preemptFor(runs []run, perm []int, pos, want, avail int, now in
 		victims = append(victims, vi)
 		freed += v.width
 	}
+	d.victims = victims
 	if avail+freed < want {
 		return avail, false
 	}
 	for _, vi := range victims {
-		delete(running, p.Cores[vi].ID)
+		running.Remove(p.Cores[vi].ID)
 	}
-	if !p.chk.OK(p.Cores[perm[pos]].ID, complete, running) {
+	if !p.chk.OK(p.Cores[perm[pos]].ID, d.complete, running) {
 		for _, vi := range victims {
-			running[p.Cores[vi].ID] = true
+			running.Add(p.Cores[vi].ID)
 		}
 		return avail, false
 	}

@@ -236,3 +236,116 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatalf("mutating the clone changed the original: %+v", g)
 	}
 }
+
+// equivalenceGenomes returns every genome family the backends feed the
+// packer: rectpack's portfolio, anneal's seeds (the portfolio at the
+// width cap plus two ascending orders), preemptive clones, clones with
+// forced splits on the budgeted cores, and one genome that cannot decode.
+func equivalenceGenomes(p *Packer) []*Genome {
+	gs := p.Portfolio(p.TAMWidth)
+	gs = append(gs, p.Portfolio(p.WMax)...)
+	for _, less := range []func(a, b *Core) bool{Ascending(ByTime), Ascending(ByArea)} {
+		gs = append(gs, &Genome{Perm: p.Order(less), Cap: p.Uniform(p.WMax), Floor: make([]int, len(p.Cores))})
+	}
+	base := len(gs)
+	for i, g := range gs[:base] {
+		pre := g.Clone()
+		pre.Preempt = true
+		split := g.Clone()
+		split.Preempt = i%2 == 0
+		for ci, c := range p.Cores {
+			if w, ok := c.Set.SnapDown(g.Cap[ci]); ok && c.Budget > 0 {
+				split.Split[ci] = c.Set.Time(w) / int64(2+i%3)
+			}
+		}
+		gs = append(gs, pre, split)
+	}
+	stuck := &Genome{Perm: p.Order(ByTime), Cap: p.Uniform(p.WMax), Floor: p.Uniform(p.WMax + 1)}
+	return append(gs, stuck)
+}
+
+// TestMakespanMatchesDecode: Makespan reuses the Packer's scratch, so it
+// is checked against a fresh Decode for every genome family, called in
+// the order A, B, A so state left behind by B (including B's failure)
+// would show in A's second answer.
+func TestMakespanMatchesDecode(t *testing.T) {
+	d695 := func(w, budget, powerPct int) sched.Params {
+		s := bench.D695()
+		opt, err := sched.New(s, sched.DefaultMaxWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := sched.Params{TAMWidth: w}
+		if budget > 0 {
+			if params.MaxPreemptions, err = opt.LargerCorePreemptions(budget); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if powerPct > 0 {
+			params.PowerMax = sched.DefaultPowerBudget(s, powerPct)
+		}
+		return params
+	}
+	synth, err := sched.New(bench.Synth(bench.SynthConfig{Cores: 70, Seed: 5, BISTEngines: 2, HierarchyPct: 20, PowerBudgetPct: 300, ExtraPrecedences: 6, ExtraConcurrencies: 6}), sched.DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synthBudget, err := synth.LargerCorePreemptions(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synthPacker, err := New(context.Background(), "test", synth, sched.Params{TAMWidth: 40, MaxWidth: 16, MaxPreemptions: synthBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packers := map[string]*Packer{
+		"split4":        splitPacker(t),
+		"demo8-w16":     benchPacker(t, "demo8", sched.Params{TAMWidth: 16}),
+		"d695-w32-b2":   benchPacker(t, "d695", d695(32, 2, 0)),
+		"d695-w24-pow":  benchPacker(t, "d695", d695(24, 1, 125)),
+		"synth70-w40-b": synthPacker,
+	}
+	splits, failures := 0, 0
+	for name, p := range packers {
+		gs := equivalenceGenomes(p)
+		for i, a := range gs {
+			b := gs[(i+7)%len(gs)]
+			want, wantErr := p.Decode(a)
+			if wantErr != nil {
+				failures++
+			} else {
+				splits += want.Splits
+			}
+			for call, g := range []*Genome{a, b, a} {
+				got, err := p.Makespan(g)
+				if call == 1 {
+					continue
+				}
+				switch {
+				case wantErr != nil:
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%s genome %d call %d: Makespan error %v, Decode error %v", name, i, call, err, wantErr)
+					}
+				case err != nil || got != want.Makespan:
+					t.Fatalf("%s genome %d call %d: Makespan %d (%v), Decode %d", name, i, call, got, err, want.Makespan)
+				}
+			}
+		}
+	}
+	if splits == 0 || failures == 0 {
+		t.Fatalf("genomes decoded with %d splits and %d failures; want both exercised", splits, failures)
+	}
+}
+
+// TestMakespanAllocs guards anneal's inner loop: once the scratch exists,
+// scoring a split-free genome allocates nothing.
+func TestMakespanAllocs(t *testing.T) {
+	p := benchPacker(t, "d695", sched.Params{TAMWidth: 32})
+	g := p.Portfolio(p.TAMWidth)[0]
+	if _, err := p.Makespan(g); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = p.Makespan(g) }); allocs > 1 {
+		t.Fatalf("Makespan allocates %.1f times per call, want at most 1", allocs)
+	}
+}

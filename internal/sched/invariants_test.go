@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/rect"
+	"repro/internal/soc"
 )
 
 // demoSchedule builds a valid schedule of the demo SOC (hierarchy,
@@ -250,5 +251,33 @@ func TestCheckInvariantsNegativeAccounting(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "negative preemption accounting") {
 		t.Fatalf("wrong rejection: %v", err)
+	}
+}
+
+// TestVerifyRejectsOutOfRangeConstraints: Verify and CheckInvariants
+// build a constraint checker for a SOC nobody validated, so a constraint
+// naming a core outside 1..len(Cores) must come back as an error rather
+// than a panic.
+func TestVerifyRejectsOutOfRangeConstraints(t *testing.T) {
+	sch, opt := demoSchedule(t)
+	n := len(opt.SOC().Cores)
+	for _, tc := range []struct {
+		name string
+		edit func(s *soc.SOC)
+	}{
+		{"precedence", func(s *soc.SOC) { s.Precedences = append(s.Precedences, soc.Precedence{Before: 1, After: n + 1}) }},
+		{"concurrency", func(s *soc.SOC) { s.Concurrencies = append(s.Concurrencies, soc.Concurrency{A: 0, B: 1}) }},
+		{"parent", func(s *soc.SOC) { s.Cores[0].Parent = n + 5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := opt.SOC().Clone()
+			tc.edit(s)
+			if err := Verify(s, sch); err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("Verify = %v, want an out-of-range error", err)
+			}
+			if err := CheckInvariants(s, sch); err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("CheckInvariants = %v, want an out-of-range error", err)
+			}
+		})
 	}
 }

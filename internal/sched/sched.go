@@ -424,16 +424,16 @@ type runner struct {
 
 	now      int64
 	wAvail   int
-	complete map[int]bool
-	running  map[int]bool
+	complete constraint.Set
+	running  constraint.Set
 	left     int // count of incomplete cores
 	events   int
 }
 
 // schedule is the main loop of Fig. 4.
 func (r *runner) schedule() error {
-	r.complete = make(map[int]bool)
-	r.running = make(map[int]bool)
+	r.complete = constraint.NewSet(len(r.soc.Cores))
+	r.running = constraint.NewSet(len(r.soc.Cores))
 	r.left = len(r.order)
 	r.wAvail = r.params.TAMWidth
 
@@ -635,7 +635,7 @@ func (r *runner) open(st *coreState) {
 	st.running = true
 	st.runStart = r.now
 	st.end = r.now + st.remaining
-	r.running[st.core.ID] = true
+	r.running.Add(st.core.ID)
 	r.wAvail -= st.assigned
 }
 
@@ -662,17 +662,18 @@ func (r *runner) reopenWider(st *coreState, width int) {
 func (r *runner) update() error {
 	r.events++
 	var newTime int64 = -1
-	for id := range r.running {
-		st := r.states[id]
-		if newTime == -1 || st.end < newTime {
+	for _, st := range r.ord {
+		if st.running && (newTime == -1 || st.end < newTime) {
 			newTime = st.end
 		}
 	}
 	if newTime == -1 {
 		return r.deadlockError()
 	}
-	for id := range r.running {
-		st := r.states[id]
+	for _, st := range r.ord {
+		if !st.running {
+			continue
+		}
 		elapsed := newTime - st.runStart
 		if elapsed > 0 {
 			if n := len(st.spans); n > 0 && st.spans[n-1].end == st.runStart && st.spans[n-1].width == st.assigned {
@@ -686,10 +687,10 @@ func (r *runner) update() error {
 		st.end = newTime
 		if st.remaining == 0 {
 			st.complete = true
-			r.complete[id] = true
+			r.complete.Add(st.core.ID)
 			r.left--
 		}
-		delete(r.running, id)
+		r.running.Remove(st.core.ID)
 	}
 	r.now = newTime
 	r.wAvail = r.params.TAMWidth
