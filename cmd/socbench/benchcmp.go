@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 )
@@ -68,9 +69,50 @@ func compareBenchReports(base, cur benchJSONReport, maxPct float64) (table strin
 	return sb.String(), failures
 }
 
+// compareBenchAllocs diffs current allocs/op against a baseline, on the
+// rows both reports carry with allocs/op recorded; rows of a baseline
+// written before the field existed are skipped. It returns a delta table
+// (empty when no row qualifies) and a failure for every row whose
+// allocs/op grew more than maxPct percent. A row that allocated nothing
+// in the baseline fails on any allocation.
+func compareBenchAllocs(base, cur benchJSONReport, maxPct float64) (table string, failures []string) {
+	curByName := make(map[string]benchJSONResult, len(cur.Benchmarks))
+	for _, b := range cur.Benchmarks {
+		curByName[b.Name] = b
+	}
+	var sb strings.Builder
+	for _, b := range base.Benchmarks {
+		nb, ok := curByName[b.Name]
+		if !ok || b.AllocsPerOp == nil || nb.AllocsPerOp == nil {
+			continue
+		}
+		if sb.Len() == 0 {
+			fmt.Fprintf(&sb, "%-28s %14s %14s %9s\n", "benchmark", "base allocs/op", "new allocs/op", "delta")
+		}
+		was, now := *b.AllocsPerOp, *nb.AllocsPerOp
+		var pct float64
+		switch {
+		case was > 0:
+			pct = 100 * (float64(now) - float64(was)) / float64(was)
+		case now > 0:
+			pct = math.Inf(1)
+		}
+		mark := ""
+		if pct > maxPct {
+			mark = "  << REGRESSION"
+			failures = append(failures,
+				fmt.Sprintf("%s: %d -> %d allocs/op (%+.1f%%, limit +%.0f%%)", b.Name, was, now, pct, maxPct))
+		}
+		fmt.Fprintf(&sb, "%-28s %14d %14d %+8.1f%%%s\n", b.Name, was, now, pct, mark)
+	}
+	return sb.String(), failures
+}
+
 // runBenchCmp is the -benchcmp gate: compare newPath against basePath and
-// exit non-zero when any tracked benchmark regressed past maxPct percent.
-func runBenchCmp(basePath, newPath string, maxPct float64) {
+// exit non-zero when any tracked benchmark regressed past maxPct percent
+// in ns/op, or past maxAllocPct percent in allocs/op where both files
+// record it.
+func runBenchCmp(basePath, newPath string, maxPct, maxAllocPct float64) {
 	base, err := loadBenchReport(basePath)
 	if err != nil {
 		fatal(err)
@@ -81,6 +123,13 @@ func runBenchCmp(basePath, newPath string, maxPct float64) {
 	}
 	table, failures := compareBenchReports(base, cur, maxPct)
 	fmt.Printf("socbench: %s vs baseline %s (gate: +%.0f%% ns/op)\n%s", newPath, basePath, maxPct, table)
+	allocTable, allocFailures := compareBenchAllocs(base, cur, maxAllocPct)
+	if allocTable == "" {
+		fmt.Println("socbench: allocs/op gate skipped: no benchmark records allocs/op in both files")
+	} else {
+		fmt.Printf("socbench: allocs/op gate: +%.0f%%\n%s", maxAllocPct, allocTable)
+	}
+	failures = append(failures, allocFailures...)
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "socbench: benchmark regression gate failed:\n")
 		for _, f := range failures {

@@ -87,3 +87,63 @@ func TestLoadBenchReportBaseline(t *testing.T) {
 		}
 	}
 }
+
+// withAllocs returns rep with allocs/op recorded as given, by name; rows
+// not named keep no allocs/op, like a baseline written before the field.
+func withAllocs(rep benchJSONReport, allocs map[string]int64) benchJSONReport {
+	out := rep
+	out.Benchmarks = append([]benchJSONResult(nil), rep.Benchmarks...)
+	for i := range out.Benchmarks {
+		if a, ok := allocs[out.Benchmarks[i].Name]; ok {
+			out.Benchmarks[i].AllocsPerOp = &a
+		}
+	}
+	return out
+}
+
+func TestCompareBenchAllocs(t *testing.T) {
+	times := mkReport("A", 1000, "B", 2000, "C", 500)
+	base := withAllocs(times, map[string]int64{"A": 1000, "B": 200, "C": 0})
+
+	t.Run("both-carry-the-field", func(t *testing.T) {
+		// A grows 20% (fails a 10% gate), B grows exactly 10% (passes),
+		// C grows from zero (fails).
+		cur := withAllocs(times, map[string]int64{"A": 1200, "B": 220, "C": 3})
+		table, failures := compareBenchAllocs(base, cur, 10)
+		if len(failures) != 2 || !strings.Contains(failures[0], "A") || !strings.Contains(failures[1], "C") {
+			t.Fatalf("want failures for A and C, got %v", failures)
+		}
+		for _, name := range []string{"A", "B", "C"} {
+			if !strings.Contains(table, name) {
+				t.Errorf("allocs table missing %s:\n%s", name, table)
+			}
+		}
+		if _, failures := compareBenchAllocs(base, withAllocs(times, map[string]int64{"A": 10, "B": 200, "C": 0}), 10); len(failures) != 0 {
+			t.Fatalf("fewer or equal allocs must pass: %v", failures)
+		}
+	})
+
+	t.Run("one-carries-the-field", func(t *testing.T) {
+		// Only the current report records allocs/op, as when a new run is
+		// gated against an older baseline; and the reverse.
+		cur := withAllocs(times, map[string]int64{"A": 99999, "B": 99999, "C": 99999})
+		for _, pair := range [][2]benchJSONReport{{times, cur}, {base, times}} {
+			table, failures := compareBenchAllocs(pair[0], pair[1], 10)
+			if table != "" || len(failures) != 0 {
+				t.Fatalf("the gate must stay dormant, got failures %v and table:\n%s", failures, table)
+			}
+		}
+		// A mixed baseline gates only the rows it records.
+		mixed := withAllocs(times, map[string]int64{"A": 100})
+		if _, failures := compareBenchAllocs(mixed, cur, 10); len(failures) != 1 || !strings.Contains(failures[0], "A") {
+			t.Fatalf("want one failure for A, got %v", failures)
+		}
+	})
+
+	t.Run("neither-carries-the-field", func(t *testing.T) {
+		table, failures := compareBenchAllocs(times, mkReport("A", 5000, "B", 2000, "C", 500), 10)
+		if table != "" || len(failures) != 0 {
+			t.Fatalf("the gate must stay dormant, got failures %v and table:\n%s", failures, table)
+		}
+	})
+}

@@ -63,6 +63,7 @@ func main() {
 		benchcmp  = flag.String("benchcmp", "", "baseline benchjson file to gate against; compares -benchnew (or the file just written by -benchjson) and exits 1 on regression")
 		benchnew  = flag.String("benchnew", "", "current benchjson file for -benchcmp (default: the -benchjson path)")
 		benchmax  = flag.Float64("benchmaxpct", 25, "max tolerated ns/op regression percent for the -benchcmp gate")
+		allocpct  = flag.Float64("benchallocpct", 10, "max tolerated allocs/op growth percent for the -benchcmp gate (rows where both files record allocs/op)")
 		obsTables = flag.Bool("obs", false, "schedule every corpus scenario with every backend and print the per-backend and per-stage latency tables")
 	)
 	flag.Parse()
@@ -86,7 +87,7 @@ func main() {
 		if cur == "" || cur == "-" {
 			fatal(fmt.Errorf("-benchcmp needs -benchnew (or a file-backed -benchjson) to compare against"))
 		}
-		runBenchCmp(*benchcmp, cur, *benchmax)
+		runBenchCmp(*benchcmp, cur, *benchmax, *allocpct)
 	}
 	if *obsTables {
 		ran = true
@@ -149,6 +150,10 @@ type benchJSONResult struct {
 	Name       string `json:"name"`
 	Iterations int    `json:"iterations"`
 	NsPerOp    int64  `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp are nil in baselines written before
+	// they were recorded; the allocs/op gate skips such rows.
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
 }
 
 // runBenchJSON times the representative workloads (the same shapes as the
@@ -305,12 +310,16 @@ func runBenchJSON(path, note string) {
 	}
 	for _, w := range workloads {
 		r := testing.Benchmark(w.fn)
+		allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
 		rep.Benchmarks = append(rep.Benchmarks, benchJSONResult{
-			Name:       w.name,
-			Iterations: r.N,
-			NsPerOp:    r.NsPerOp(),
+			Name:        w.name,
+			Iterations:  r.N,
+			NsPerOp:     r.NsPerOp(),
+			AllocsPerOp: &allocs,
+			BytesPerOp:  &bytes,
 		})
-		fmt.Fprintf(os.Stderr, "socbench: %-24s %10d ns/op (%d iterations)\n", w.name, r.NsPerOp(), r.N)
+		fmt.Fprintf(os.Stderr, "socbench: %-24s %10d ns/op %10d allocs/op %12d B/op (%d iterations)\n",
+			w.name, r.NsPerOp(), allocs, bytes, r.N)
 	}
 	out := os.Stdout
 	if path != "-" {

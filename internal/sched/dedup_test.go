@@ -1,54 +1,134 @@
 package sched
 
 import (
-	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/soc"
 	"repro/internal/wrapper"
 )
 
-// sweepBestRef is the pre-deduplication sweep: every grid point runs. It
-// is the differential-testing oracle for SweepBest.
-func (o *Optimizer) sweepBestRef(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
-	grid := buildGrid(params, percents, deltas)
-	all := make([]int, len(grid))
-	for i := range all {
-		all[i] = i
+// sweepBestRef is the exhaustive sweep oracle for SweepBest. It calls the
+// full Run (plan and materialize) on every grid point, sequentially, keeps
+// the smallest makespan with ties to the first grid point, and, when every
+// point fails, returns the error of the lowest grid index. It shares only
+// buildGrid with the code under test: no deduplication, no shared inputs,
+// no plan-only scoring.
+func (o *Optimizer) sweepBestRef(params Params, percents, deltas []int) (*Schedule, error) {
+	var best *Schedule
+	var firstErr error
+	for _, p := range buildGrid(params, percents, deltas) {
+		sch, err := o.Run(p)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if best == nil || sch.Makespan < best.Makespan {
+			best = sch
+		}
 	}
-	return o.runGridBest(ctx, params.Workers, grid, all)
+	if best == nil {
+		return nil, firstErr
+	}
+	return best, nil
 }
 
-// TestSweepBestDedupMatchesFullGrid asserts the tentpole bar for the grid
-// deduplication: SweepBest (unique preferred-width fingerprints only) must
-// return a schedule identical — field for field, wire for wire, params
-// echo included — to the retained pre-dedup reference that runs every
-// grid point, on both benchmark SOCs, sequentially and with a worker pool.
+// dedupSynthSOCs are the generated SOCs of the differential sweep test:
+// both carry BIST engines, hierarchy and extra constraint edges.
+func dedupSynthSOCs(t *testing.T) []*soc.SOC {
+	t.Helper()
+	var out []*soc.SOC
+	for _, cfg := range []bench.SynthConfig{
+		{Name: "synthA", Cores: 24, Seed: 3, BISTEngines: 2, HierarchyPct: 25, ExtraPrecedences: 3, ExtraConcurrencies: 2},
+		{Name: "synthB", Cores: 40, Seed: 11, BISTEngines: 1, HierarchyPct: 15, PowerValues: true, ExtraPrecedences: 2},
+	} {
+		s := bench.Synth(cfg)
+		bist, parents := 0, 0
+		for _, c := range s.Cores {
+			if c.Test.BISTEngine >= 0 {
+				bist++
+			}
+			if c.Parent != 0 {
+				parents++
+			}
+		}
+		if bist == 0 || parents == 0 {
+			t.Fatalf("%s: %d BIST cores, %d child cores; want both > 0", s.Name, bist, parents)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestSweepBestDedupMatchesFullGrid asserts that SweepBest (unique
+// preferred-width fingerprints only, every point scored on its logical
+// schedule, wires assigned to the winner alone) returns a schedule
+// identical — field for field, wire for wire, params echo included — to
+// the exhaustive Run oracle. It covers the benchmark and generated SOCs
+// under preemption budgets, a power limit, IgnoreHierarchy and an explicit
+// InsertSlack, sequentially and with a worker pool, plus grids where every
+// point fails.
 func TestSweepBestDedupMatchesFullGrid(t *testing.T) {
+	socs := dedupSynthSOCs(t)
 	for _, name := range []string{"d695", "demo8"} {
 		s, err := bench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		socs = append(socs, s)
+	}
+	for _, s := range socs {
 		opt, err := New(s, DefaultMaxWidth)
 		if err != nil {
 			t.Fatal(err)
 		}
+		budgets, err := opt.LargerCorePreemptions(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name    string
+			p       Params
+			wantErr bool
+		}{
+			{name: "plain"},
+			{name: "budgets", p: Params{MaxPreemptions: budgets}},
+			{name: "power", p: Params{PowerMax: DefaultPowerBudget(s, 125)}},
+			{name: "budgets+power", p: Params{MaxPreemptions: budgets, PowerMax: DefaultPowerBudget(s, 125)}},
+			{name: "nohier", p: Params{IgnoreHierarchy: true}},
+			{name: "slack5", p: Params{InsertSlack: 5}},
+			{name: "infeasible-power", p: Params{PowerMax: 1}, wantErr: true},
+			{name: "overcap", p: Params{MaxWidth: DefaultMaxWidth + 1}, wantErr: true},
+		}
 		for _, w := range []int{16, 32} {
-			for _, workers := range []int{1, 4} {
-				p := Params{TAMWidth: w, Workers: workers}
-				got, err := opt.SweepBest(p, detPercents, detDeltas)
-				if err != nil {
-					t.Fatalf("%s W=%d workers=%d: %v", name, w, workers, err)
+			for _, c := range cases {
+				c.p.TAMWidth = w
+				want, wantErr := opt.sweepBestRef(c.p, detPercents, detDeltas)
+				if (wantErr != nil) != c.wantErr {
+					t.Fatalf("%s W=%d %s: oracle error %v, want error %v", s.Name, w, c.name, wantErr, c.wantErr)
 				}
-				want, err := opt.sweepBestRef(context.Background(), p, detPercents, detDeltas)
-				if err != nil {
-					t.Fatalf("%s W=%d workers=%d (ref): %v", name, w, workers, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s W=%d workers=%d: dedup sweep differs\n got  makespan=%d params=%+v\n want makespan=%d params=%+v",
-						name, w, workers, got.Makespan, got.Params, want.Makespan, want.Params)
+				for _, workers := range []int{1, 4} {
+					p := c.p
+					p.Workers = workers
+					got, err := opt.SweepBest(p, detPercents, detDeltas)
+					tag := fmt.Sprintf("%s W=%d %s workers=%d", s.Name, w, c.name, workers)
+					if c.wantErr {
+						if err == nil || err.Error() != wantErr.Error() {
+							t.Errorf("%s: error %v, want %v", tag, err, wantErr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: dedup sweep differs\n got  makespan=%d params=%+v\n want makespan=%d params=%+v",
+							tag, got.Makespan, got.Params, want.Makespan, want.Params)
+					}
 				}
 			}
 		}
@@ -65,7 +145,11 @@ func TestSweepBestDedupCollapsesGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := buildGrid(Params{TAMWidth: 32}, nil, nil)
-	reps := opt.gridReps(grid)
+	in, err := opt.inputs(grid[0].Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := opt.gridReps(grid, in)
 	if len(reps) == 0 || len(reps) >= len(grid) {
 		t.Fatalf("dedup collapsed %d grid points to %d; expected a strict, non-empty reduction", len(grid), len(reps))
 	}
@@ -97,7 +181,7 @@ func TestSweepBestDedupEveryPointFails(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := Params{TAMWidth: 32, PowerMax: 1, Workers: workers}
 			_, gotErr := opt.SweepBest(p, detPercents, detDeltas)
-			_, wantErr := opt.sweepBestRef(context.Background(), p, detPercents, detDeltas)
+			_, wantErr := opt.sweepBestRef(p, detPercents, detDeltas)
 			if gotErr == nil || wantErr == nil {
 				t.Fatalf("%s workers=%d: expected both paths to fail, got %v / %v", name, workers, gotErr, wantErr)
 			}
@@ -140,5 +224,33 @@ func TestDesignCacheMatchesDesignWrapper(t *testing.T) {
 	}
 	if err := Verify(s, sch); err != nil {
 		t.Fatalf("uncached Verify: %v", err)
+	}
+}
+
+// sweepBestAllocBound caps the allocations of one d695 W=32 default-grid
+// sequential SweepBest. It measures 368 (inputs, fingerprints, the runner
+// scratch and the winner's materialization), with and without -race; the
+// bound leaves about 2× headroom. Scoring every grid point through the
+// full Run cost 20,143.
+const sweepBestAllocBound = 750
+
+// TestSweepBestAllocs guards the plan-then-materialize sweep: grid points
+// are scored on their logical schedules in reused runners, and only the
+// winner gets a rect.Bin, so a sweep's allocations stay far below one full
+// Run per grid point.
+func TestSweepBestAllocs(t *testing.T) {
+	opt, err := New(bench.D695(), DefaultMaxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{TAMWidth: 32, Workers: 1}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := opt.SweepBest(p, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("SweepBest d695 W=32 default grid: %.0f allocs", allocs)
+	if allocs > sweepBestAllocBound {
+		t.Fatalf("SweepBest allocates %.0f times, want at most %d", allocs, sweepBestAllocBound)
 	}
 }

@@ -8,9 +8,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -203,13 +205,17 @@ type span struct {
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. After
 // New returns, the SOC, the cached Pareto sets, and the cached wrapper
-// designs are never mutated: Run allocates every piece of mutable state
-// per call (the runner, the per-core coreStates, the rect.Bin, the
-// constraint.Checker), and pareto.Set.Capped hands out read-only views
-// that share the immutable time table. SweepBest and datavol.Run exploit
-// this by fanning Run calls out over a worker pool (see Params.Workers).
-// Callers must not mutate the SOC passed to New while the Optimizer is in
-// use.
+// designs are never mutated. A run is plan (Initialize and the Fig. 4
+// loop, in a runner that owns the per-core coreStates) followed by
+// materialize (wire assignment into a fresh rect.Bin). Run allocates all
+// of it per call. SweepBest builds the constraint.Checker and the capped
+// Pareto sets once per sweep and shares them read-only, plans every grid
+// point in runners reused across points, and materializes only the
+// winner, since wire assignment never changes a time. pareto.Set.Capped
+// hands out read-only views that share the immutable time table.
+// SweepBest and datavol.Run fan runs out over a worker pool (see
+// Params.Workers). Callers must not mutate the SOC passed to New while
+// the Optimizer is in use.
 type Optimizer struct {
 	soc      *soc.SOC
 	maxWidth int
@@ -275,103 +281,143 @@ func Run(s *soc.SOC, params Params) (*Schedule, error) {
 }
 
 // Run schedules the optimizer's SOC under the given parameters.
-// params.MaxWidth must not exceed the optimizer's cap.
+// params.MaxWidth must not exceed the optimizer's cap. It is plan followed
+// by materialize.
 func (o *Optimizer) Run(params Params) (*Schedule, error) {
-	params = params.Defaults()
+	r := o.newRunner()
+	if err := o.plan(r, params, nil); err != nil {
+		return nil, err
+	}
+	return r.materialize()
+}
+
+// runInputs are the read-only inputs of a run that depend only on
+// TAMWidth, MaxWidth, PowerMax and IgnoreHierarchy, which every grid point
+// of one sweep shares: the Pareto sets capped at the run's width limit
+// (indexed by core ID - 1) and the constraint checker. A sweep builds them
+// once and hands them to every plan; both are immutable once built.
+type runInputs struct {
+	capped []*pareto.Set
+	chk    *constraint.Checker
+}
+
+// inputs validates the width parameters of params (already defaulted) and
+// builds its runInputs.
+func (o *Optimizer) inputs(params Params) (*runInputs, error) {
 	if params.TAMWidth < 1 {
 		return nil, fmt.Errorf("sched: non-positive TAM width %d", params.TAMWidth)
 	}
 	if params.MaxWidth > o.maxWidth {
 		return nil, fmt.Errorf("sched: params.MaxWidth %d exceeds optimizer cap %d", params.MaxWidth, o.maxWidth)
 	}
-	s := o.soc
-	chk, err := constraint.New(s, constraint.Config{
+	chk, err := constraint.New(o.soc, constraint.Config{
 		PowerMax:        params.PowerMax,
 		IgnoreHierarchy: params.IgnoreHierarchy,
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	wmax := params.MaxWidth
 	if wmax > params.TAMWidth {
 		wmax = params.TAMWidth
 	}
-
-	// Initialize (Fig. 5): Pareto rectangles and preferred widths.
-	states := make(map[int]*coreState, len(s.Cores))
-	var order []int
-	for _, c := range s.Cores {
-		ps, err := o.sets[c.ID].Capped(wmax)
-		if err != nil {
+	capped := make([]*pareto.Set, len(o.soc.Cores))
+	for i, c := range o.soc.Cores {
+		if capped[i], err = o.sets[c.ID].Capped(wmax); err != nil {
 			return nil, err
 		}
-		st := &coreState{core: c, pset: ps}
-		st.pref = ps.PreferredWidth(params.Percent, params.Delta)
+	}
+	return &runInputs{capped: capped, chk: chk}, nil
+}
+
+// newRunner allocates a runner for the optimizer's SOC. plan resets it, so
+// one runner can plan many grid points in turn.
+func (o *Optimizer) newRunner() *runner {
+	n := len(o.soc.Cores)
+	return &runner{
+		opt:      o,
+		soc:      o.soc,
+		states:   make([]coreState, n),
+		complete: constraint.NewSet(n),
+		running:  constraint.NewSet(n),
+	}
+}
+
+// plan runs Initialize (Fig. 5) and the Fig. 4 loop for params into r,
+// reusing r's storage, and leaves the logical schedule in r: every core's
+// spans, width, design, preemptions and penalty, the event count and the
+// makespan. The loop fixes every time, so the makespan is final here;
+// materialize only maps the spans onto wires. A nil in builds the inputs
+// from params.
+func (o *Optimizer) plan(r *runner, params Params, in *runInputs) error {
+	params = params.Defaults()
+	if in == nil {
+		var err error
+		if in, err = o.inputs(params); err != nil {
+			return err
+		}
+	}
+	r.params, r.chk = params, in.chk
+	for i, c := range o.soc.Cores {
+		st := &r.states[i]
+		*st = coreState{core: c, pset: in.capped[i], spans: st.spans[:0]}
+		st.pref = st.pset.PreferredWidth(params.Percent, params.Delta)
 		if params.MaxPreemptions != nil {
 			st.maxPreempts = params.MaxPreemptions[c.ID]
 		}
-		states[c.ID] = st
-		order = append(order, c.ID)
 	}
-	sort.Ints(order)
+	if err := r.schedule(); err != nil {
+		return err
+	}
+	r.makespan = 0
+	for i := range r.states {
+		st := &r.states[i]
+		n := len(st.spans)
+		if n == 0 {
+			return fmt.Errorf("sched: core %d has no pieces after wire assignment", st.core.ID)
+		}
+		r.makespan = max(r.makespan, st.spans[n-1].end)
+	}
+	return nil
+}
 
-	bin, err := rect.NewBin(params.TAMWidth)
+// materialize turns a planned runner into a Schedule: it assigns concrete
+// wires to every span in a fresh rect.Bin and collects each core's pieces.
+func (r *runner) materialize() (*Schedule, error) {
+	bin, err := rect.NewBin(r.params.TAMWidth)
 	if err != nil {
 		return nil, err
 	}
-
-	run := &runner{
-		opt:    o,
-		soc:    s,
-		params: params,
-		chk:    chk,
-		states: states,
-		order:  order,
-	}
-	run.ord = make([]*coreState, len(order))
-	for i, id := range order {
-		run.ord[i] = states[id]
-	}
-	if err := run.schedule(); err != nil {
+	if err := assignWires(bin, r.states); err != nil {
 		return nil, err
 	}
-	if err := assignWires(bin, states, order); err != nil {
-		return nil, err
-	}
-
 	out := &Schedule{
-		SOC:         s.Name,
-		TAMWidth:    params.TAMWidth,
-		Params:      params,
-		Assignments: make(map[int]*Assignment, len(states)),
+		SOC:         r.soc.Name,
+		TAMWidth:    r.params.TAMWidth,
+		Params:      r.params,
+		Assignments: make(map[int]*Assignment, len(r.states)),
+		Makespan:    r.makespan,
 		Bin:         bin,
-		Events:      run.events,
+		Events:      r.events,
 	}
-	for i := range bin.Pieces() {
-		p := bin.Pieces()[i]
+	for i := range r.states {
+		st := &r.states[i]
+		out.Assignments[st.core.ID] = &Assignment{
+			CoreID:        st.core.ID,
+			Width:         st.assigned,
+			Pieces:        make([]rect.Piece, 0, len(st.spans)),
+			Preemptions:   st.preempts,
+			PenaltyCycles: st.penalty,
+			BaseTime:      st.pset.Time(st.assigned),
+			ScanIn:        st.design.ScanInMax,
+			ScanOut:       st.design.ScanOutMax,
+		}
+	}
+	// The bin holds the pieces in global start order, so each core's
+	// pieces arrive in ascending start order.
+	for _, p := range bin.Pieces() {
 		a := out.Assignments[p.CoreID]
-		if a == nil {
-			a = &Assignment{CoreID: p.CoreID}
-			out.Assignments[p.CoreID] = a
-		}
 		a.Pieces = append(a.Pieces, p)
-	}
-	for id, st := range states {
-		a := out.Assignments[id]
-		if a == nil {
-			return nil, fmt.Errorf("sched: core %d has no pieces after wire assignment", id)
-		}
-		a.Width = st.assigned
-		a.Preemptions = st.preempts
-		a.PenaltyCycles = st.penalty
-		a.BaseTime = st.pset.Time(st.assigned)
-		a.ScanIn = st.design.ScanInMax
-		a.ScanOut = st.design.ScanOutMax
-		sort.Slice(a.Pieces, func(i, j int) bool { return a.Pieces[i].Start < a.Pieces[j].Start })
-		if e := a.End(); e > out.Makespan {
-			out.Makespan = e
-		}
 	}
 	return out, nil
 }
@@ -382,45 +428,49 @@ func (o *Optimizer) Run(params Params) (*Schedule, error) {
 // before (so preempted tests resume on their original wiring when
 // possible). Because the scheduler never oversubscribes capacity, first-fit
 // in start order always succeeds (interval graphs are perfect).
-func assignWires(bin *rect.Bin, states map[int]*coreState, order []int) error {
+func assignWires(bin *rect.Bin, states []coreState) error {
 	type frag struct {
-		coreID int
-		s      span
+		idx int // index into states; ascending index is ascending core ID
+		s   span
 	}
-	var frags []frag
-	for _, id := range order {
-		for _, sp := range states[id].spans {
-			frags = append(frags, frag{coreID: id, s: sp})
+	n := 0
+	for i := range states {
+		n += len(states[i].spans)
+	}
+	frags := make([]frag, 0, n)
+	for i := range states {
+		for _, sp := range states[i].spans {
+			frags = append(frags, frag{idx: i, s: sp})
 		}
 	}
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].s.start != frags[j].s.start {
-			return frags[i].s.start < frags[j].s.start
+	slices.SortFunc(frags, func(a, b frag) int {
+		if c := cmp.Compare(a.s.start, b.s.start); c != 0 {
+			return c
 		}
-		return frags[i].coreID < frags[j].coreID
+		return a.idx - b.idx
 	})
-	prev := make(map[int][]int)
+	prev := make([][]int, len(states))
 	for _, f := range frags {
-		p, err := bin.PlacePreferred(f.coreID, f.s.width, f.s.start, f.s.end, prev[f.coreID])
+		p, err := bin.PlacePreferred(states[f.idx].core.ID, f.s.width, f.s.start, f.s.end, prev[f.idx])
 		if err != nil {
 			return fmt.Errorf("sched: wire assignment: %v", err)
 		}
-		prev[f.coreID] = p.Wires
+		prev[f.idx] = p.Wires
 	}
 	return nil
 }
 
 // runner holds the mutable state of one TAM_schedule_optimizer execution.
+// Once plan returns, it is the run's logical schedule.
 type runner struct {
 	opt    *Optimizer // read-only: supplies cached wrapper designs
 	soc    *soc.SOC
 	params Params
-	chk    *constraint.Checker
-	states map[int]*coreState
-	order  []int
-	// ord holds the states in ascending core-ID order (aligned with
-	// order), so the per-instant priority scans avoid map lookups.
-	ord []*coreState
+	chk    *constraint.Checker // shared read-only across a sweep
+	// states holds one coreState per core in ascending core-ID order
+	// (index = ID - 1), so the per-instant priority scans are plain
+	// slice walks.
+	states []coreState
 
 	now      int64
 	wAvail   int
@@ -428,13 +478,15 @@ type runner struct {
 	running  constraint.Set
 	left     int // count of incomplete cores
 	events   int
+	makespan int64 // latest span end, set by plan
 }
 
 // schedule is the main loop of Fig. 4.
 func (r *runner) schedule() error {
-	r.complete = constraint.NewSet(len(r.soc.Cores))
-	r.running = constraint.NewSet(len(r.soc.Cores))
-	r.left = len(r.order)
+	r.complete.Clear()
+	r.running.Clear()
+	r.now, r.events = 0, 0
+	r.left = len(r.states)
 	r.wAvail = r.params.TAMWidth
 
 	for r.left > 0 {
@@ -477,7 +529,8 @@ func (r *runner) fillPass() bool {
 // construction.
 func (r *runner) assignCapped() bool {
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if !st.begun || st.complete || st.running || st.preempts < st.maxPreempts {
 			continue
 		}
@@ -499,7 +552,8 @@ func (r *runner) assignCapped() bool {
 // left, largest remaining time first.
 func (r *runner) assignResumable() bool {
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if !st.begun || st.complete || st.running || st.preempts >= st.maxPreempts {
 			continue
 		}
@@ -521,7 +575,8 @@ func (r *runner) assignResumable() bool {
 // width fits, largest testing time first.
 func (r *runner) assignNew() bool {
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if st.begun || st.pref > r.wAvail || !r.chk.OK(st.core.ID, r.complete, r.running) {
 			continue
 		}
@@ -546,7 +601,8 @@ func (r *runner) insertSqueezed() bool {
 		return false
 	}
 	var best *coreState
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if st.begun || st.pref <= r.wAvail || st.pref > r.wAvail+r.params.InsertSlack {
 			continue
 		}
@@ -578,7 +634,8 @@ func (r *runner) widenFresh() bool {
 	var best *coreState
 	var bestGain int64
 	var bestW int
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if !st.running || st.firstBegin != r.now {
 			continue
 		}
@@ -662,7 +719,8 @@ func (r *runner) reopenWider(st *coreState, width int) {
 func (r *runner) update() error {
 	r.events++
 	var newTime int64 = -1
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if st.running && (newTime == -1 || st.end < newTime) {
 			newTime = st.end
 		}
@@ -670,7 +728,8 @@ func (r *runner) update() error {
 	if newTime == -1 {
 		return r.deadlockError()
 	}
-	for _, st := range r.ord {
+	for i := range r.states {
+		st := &r.states[i]
 		if !st.running {
 			continue
 		}
@@ -699,8 +758,9 @@ func (r *runner) update() error {
 
 // deadlockError reports why no core can make progress.
 func (r *runner) deadlockError() error {
-	for _, id := range r.order {
-		st := r.states[id]
+	for i := range r.states {
+		st := &r.states[i]
+		id := st.core.ID
 		if st.complete {
 			continue
 		}
@@ -846,6 +906,10 @@ func SweepBestContext(ctx context.Context, s *soc.SOC, params Params, percents, 
 // returned schedule — including its echoed Params — and the error, when
 // every point fails, are bit-identical to exhaustively running the grid.
 //
+// Each representative is only planned: its logical schedule fixes every
+// time, so the makespan is known before wires are assigned. Only the
+// winning plan is materialized into a Schedule.
+//
 // The representative runs are independent, so they are fanned out over
 // params.Workers goroutines (0 = GOMAXPROCS, 1 = sequential). Results are
 // collected per grid point and compared in grid order, so the outcome is
@@ -858,7 +922,14 @@ func (o *Optimizer) SweepBest(params Params, percents, deltas []int) (*Schedule,
 // SweepBestContext for the contract).
 func (o *Optimizer) SweepBestContext(ctx context.Context, params Params, percents, deltas []int) (*Schedule, error) {
 	grid := buildGrid(params, percents, deltas)
-	return o.runGridBest(ctx, params.Workers, grid, o.gridReps(grid))
+	// Every grid point shares the inputs' parameters. When they are
+	// invalid, every point fails the same way: leave in nil so each plan
+	// reports the error itself, exactly as exhaustive Run calls would.
+	in, err := o.inputs(grid[0].Defaults())
+	if err != nil {
+		in = nil
+	}
+	return o.runGridBest(ctx, params.Workers, grid, o.gridReps(grid, in), in)
 }
 
 // buildGrid expands params and the percent/delta (and, when unset, slack)
@@ -894,86 +965,79 @@ func buildGrid(params Params, percents, deltas []int) []Params {
 // preferred-width vector) and returns the grid indices of the first point
 // of each distinct fingerprint, in grid order. Points sharing a
 // fingerprint are the same scheduler run: percent and delta influence a
-// run only through pareto.Set.PreferredWidth at Initialize.
-func (o *Optimizer) gridReps(grid []Params) []int {
-	all := func() []int {
-		out := make([]int, len(grid))
-		for i := range out {
-			out[i] = i
+// run only through pareto.Set.PreferredWidth at Initialize. in holds the
+// sweep's shared capped Pareto sets; a nil in (invalid width parameters,
+// so every point fails identically) keeps the full grid so error
+// selection is untouched.
+func (o *Optimizer) gridReps(grid []Params, in *runInputs) []int {
+	if in == nil {
+		all := make([]int, len(grid))
+		for i := range all {
+			all[i] = i
 		}
-		return out
-	}
-	if len(grid) == 0 {
-		return nil
-	}
-	// All grid points share TAMWidth/MaxWidth, so the per-core width cap
-	// is common. An invalid cap fails identically at every point inside
-	// Run; keep the full grid so error selection is untouched.
-	pd := grid[0].Defaults()
-	wmax := pd.MaxWidth
-	if wmax > pd.TAMWidth {
-		wmax = pd.TAMWidth
-	}
-	if wmax < 1 || pd.MaxWidth > o.maxWidth {
-		return all()
-	}
-	ids := make([]int, 0, len(o.sets))
-	for id := range o.sets {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	capped := make([]*pareto.Set, len(ids))
-	for k, id := range ids {
-		ps, err := o.sets[id].Capped(wmax)
-		if err != nil {
-			return all() // cannot happen: wmax >= 1
-		}
-		capped[k] = ps
+		return all
 	}
 	seen := make(map[string]bool, len(grid))
 	reps := make([]int, 0, len(grid))
-	key := make([]byte, 0, 2*(len(ids)+2))
+	key := make([]byte, 0, 2*(len(in.capped)+1))
 	for i, p := range grid {
 		key = key[:0]
 		key = append(key, byte(p.InsertSlack>>8), byte(p.InsertSlack))
-		for _, ps := range capped {
+		for _, ps := range in.capped {
 			w := ps.PreferredWidth(p.Percent, p.Delta)
 			key = append(key, byte(w>>8), byte(w))
 		}
-		if k := string(key); !seen[k] {
-			seen[k] = true
+		// The lookup converts key without allocating; only a new
+		// fingerprint pays for its string.
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			reps = append(reps, i)
 		}
 	}
 	return reps
 }
 
-// runGridBest runs the grid points selected by idxs and returns the best
+// runGridBest plans the grid points selected by idxs and returns the best
 // schedule by (makespan, grid index) — the sequential first-grid-point
-// tie-break — or, when every run fails, the error of the lowest grid
-// index. Results stream into a running best so losing schedules are
-// released as the sweep progresses instead of all being retained until a
-// final merge. A cancelled ctx abandons the sweep and returns its error.
-func (o *Optimizer) runGridBest(ctx context.Context, workers int, grid []Params, idxs []int) (*Schedule, error) {
+// tie-break — or, when every plan fails, the error of the lowest grid
+// index. Wire assignment never changes a time, so only the winning plan is
+// materialized. Losing plans go back to a free list and serve as scratch
+// for later grid points. Every plan shares in (nil: each builds its own).
+// A cancelled ctx abandons the sweep and returns its error.
+func (o *Optimizer) runGridBest(ctx context.Context, workers int, grid []Params, idxs []int, in *runInputs) (*Schedule, error) {
 	var mu sync.Mutex
-	var best *Schedule
+	var best *runner
 	bestIdx := len(grid)
 	var firstErr error
 	errIdx := len(grid)
+	var spare []*runner // losing plans, reused as scratch; held under mu
 	if err := ForEachContext(ctx, workers, len(idxs), func(k int) {
 		i := idxs[k]
-		sch, err := o.Run(grid[i])
+		mu.Lock()
+		var r *runner
+		if n := len(spare); n > 0 {
+			r, spare = spare[n-1], spare[:n-1]
+		}
+		mu.Unlock()
+		if r == nil {
+			r = o.newRunner()
+		}
+		err := o.plan(r, grid[i], in)
 		mu.Lock()
 		defer mu.Unlock()
-		if err != nil {
+		switch {
+		case err != nil:
+			spare = append(spare, r)
 			if i < errIdx {
 				errIdx, firstErr = i, err
 			}
-			return
-		}
-		if best == nil || sch.Makespan < best.Makespan ||
-			(sch.Makespan == best.Makespan && i < bestIdx) {
-			best, bestIdx = sch, i
+		case best == nil || r.makespan < best.makespan || (r.makespan == best.makespan && i < bestIdx):
+			if best != nil {
+				spare = append(spare, best)
+			}
+			best, bestIdx = r, i
+		default:
+			spare = append(spare, r)
 		}
 	}); err != nil {
 		return nil, err
@@ -981,7 +1045,7 @@ func (o *Optimizer) runGridBest(ctx context.Context, workers int, grid []Params,
 	if best == nil {
 		return nil, firstErr
 	}
-	return best, nil
+	return best.materialize()
 }
 
 // ResolveWorkers maps a Params.Workers-style knob to a concrete worker
